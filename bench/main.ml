@@ -294,6 +294,36 @@ let bench_simulate_rvv_fft =
   Test.make ~name:"core_simulate_rvv_fft"
     (Staged.stage (fun () -> Cpu.run ~config image))
 
+(* The translator's retirement tap on its own: the 9 live sessions of
+   171.swim on liquid:8 (77,074 retired events), recorded once and
+   replayed through fresh sessions — create, observe every event,
+   finish. Per-event cost is this row over 77,074. *)
+let bench_translate_observe =
+  let w = find "171.swim" in
+  let image = Image.of_program (Codegen.liquid w.Workload.program) in
+  let module Tr = Liquid_translate.Translator in
+  let sessions =
+    Cpu.session_events ~config:(Cpu.liquid_config ~lanes:8) image
+    |> List.map (fun (_, evs) ->
+           Array.map
+             (fun (ev : Liquid_translate.Event.t) ->
+               ( ev.pc,
+                 ev.insn,
+                 match ev.value with Some v -> v | None -> Tr.no_value ))
+             evs)
+  in
+  let config = Tr.default_config ~lanes:8 () in
+  Test.make ~name:"core_translate_observe"
+    (Staged.stage (fun () ->
+         List.iter
+           (fun evs ->
+             let tr = Tr.create config in
+             Array.iter
+               (fun (pc, insn, value) -> Tr.observe tr ~pc ~insn ~value)
+               evs;
+             ignore (Tr.finish tr))
+           sessions))
+
 let bench_hwmodel =
   Test.make ~name:"core_hwmodel_estimate"
     (Staged.stage (fun () -> Hwmodel.estimate Hwmodel.default_params))
@@ -322,6 +352,7 @@ let tests =
     bench_simulate_vla_fft;
     bench_simulate_rvv;
     bench_simulate_rvv_fft;
+    bench_translate_observe;
     bench_hwmodel;
   ]
 
@@ -339,6 +370,7 @@ let smoke_tests =
     bench_simulate_vla_fft;
     bench_simulate_rvv;
     bench_simulate_rvv_fft;
+    bench_translate_observe;
   ]
 
 let run_benchmarks ~quota tests =

@@ -197,6 +197,15 @@ let run_cmd =
         Format.printf "%s on %s:@.%a@." w.Workload.name
           (Runner.variant_name variant)
           Liquid_machine.Stats.pp run.Cpu.stats;
+        (* which host tier executed what: block engine, trace
+           superblocks, and the instructions translator sessions
+           observed (on either tier) *)
+        Format.printf
+          "engine: blocks %d compiled / %d execs, superblocks %d compiled / \
+           %d iters / %d bailouts, session insns %d@."
+          run.Cpu.blocks_compiled run.Cpu.block_execs
+          run.Cpu.superblocks_compiled run.Cpu.superblock_iters
+          run.Cpu.superblock_bailouts run.Cpu.session_insns;
         List.iter
           (fun (r : Cpu.region_report) ->
             Format.printf "  region %-20s calls=%-3d ucode=%-3d %s@."
@@ -270,9 +279,9 @@ let translate_cmd =
             | Liquid_visa.Minsn.S i -> i
             | Liquid_visa.Minsn.V _ -> failwith "vector insn in liquid binary"
           in
-          let outcome, eff = Sem.step_scalar ctx ~pc:!pc insn in
-          Liquid_translate.Translator.feed tr
-            (Liquid_translate.Event.make ~pc:!pc ?value:eff.Sem.value insn);
+          let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
+          Liquid_translate.Translator.observe tr ~pc:!pc ~insn
+            ~value:ctx.Sem.e_value;
           match outcome with
           | Sem.Next -> incr pc
           | Sem.Jump t -> pc := t

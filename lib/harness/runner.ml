@@ -30,10 +30,16 @@ let variant_name = function
 
 (* One parser for the CLI's and the sweep service's variant syntax, so
    the two front ends can never drift apart. *)
+let max_width = Liquid_visa.Width.(lanes max)
+
 let variant_of_string s =
   let width ctor w =
     match int_of_string_opt w with
-    | Some w when w > 0 -> Ok (ctor w)
+    | Some n when n > max_width ->
+        Error
+          (Printf.sprintf "bad width %S: the widest accelerator has %d lanes" w
+             max_width)
+    | Some n when n > 0 -> Ok (ctor n)
     | Some _ | None -> Error (Printf.sprintf "bad width %S" w)
   in
   match String.split_on_char ':' s with

@@ -36,8 +36,9 @@ val variant_of_string : string -> (variant, string) Stdlib.result
     [liquid:W], [vla:W], [rvv:W], [oracle:W], [vla-oracle:W],
     [rvv-oracle:W], [native:W] (with the [liquid-] prefixed aliases) —
     the inverse of the surface syntax, shared by the command line and
-    the sweep-service protocol so the two cannot drift. The error
-    carries a human-readable message. *)
+    the sweep-service protocol so the two cannot drift. A width must be
+    positive and at most [Width.lanes Width.max] (16); the error carries
+    a human-readable message naming the limit. *)
 
 val variant_to_string : variant -> string
 (** The canonical wire spelling — the inverse of {!variant_of_string}

@@ -35,11 +35,21 @@
    the golden suite pins must come out bit-identical to the step-by-step
    engine. The equivalences this file relies on:
 
-   - Blocks only run while no translator session is live (the
-     dispatcher in [Cpu] guarantees it), so the scratch effect fields
-     skipped by the pre-resolved kernels are unobservable, and
-     interrupt-epoch catch-up by division in [Cpu.interrupt_check]
-     fires at the same cycle it would have under per-step checking.
+   - Every instruction that opens, closes or aborts a translator
+     session — region calls, returns, the interrupt check — runs in
+     [Cpu.step], so the session live when the dispatcher enters the
+     engine stays live until the engine hands back. Under no session,
+     the scratch effect fields skipped by the pre-resolved kernels are
+     unobservable, and interrupt-epoch catch-up by division in
+     [Cpu.interrupt_check] leaves the threshold where per-step checking
+     would have. Under a live session ([try_exec_observed]) only scalar
+     blocks run, each retired instruction is fed to the session with
+     the value [step] would have read from the scratch effect (the
+     destination register, or the scratch itself for predicated ops),
+     and a block runs only if no interrupt can fire inside it, so the
+     session sees exactly the stepped stream and an interrupt aborts it
+     at exactly the stepped instruction. Superblocks stay off while a
+     session is live.
    - Within a block, consecutive fetches of one icache line cannot be
      separated by any other access of that cache, so one real
      {!Liquid_machine.Cache.access} per line run plus
@@ -142,6 +152,18 @@ type block = {
          a new line run, -1 otherwise (always -1 without an icache) *)
   b_nlines : int;
   b_first : Insn.exec option;  (* entry load-use hazard probe *)
+  b_insns : Insn.exec array;
+      (* scalar blocks: the image's instruction per slot, branch
+         terminator included, fed to an observing translator session;
+         empty for vector blocks, which no session observes *)
+  b_vdst : int array;
+      (* per uop: the register index holding the value [step] feeds a
+         session, [vdst_scratch] for predicated ops (read from the
+         context's scratch effect), [vdst_none] when nothing is written *)
+  b_max_cycles : int;
+      (* upper bound on the cycles one execution can charge: static
+         charges plus the entry stall, a miss on every icache line run
+         and data probe, and a mispredicted terminator *)
   b_exit_pending : Reg.t option;
       (* hazard state a scalar block leaves behind (preallocated) *)
   b_passthrough : bool;  (* vector blocks: pending hazard flows through *)
@@ -264,6 +286,7 @@ type t = {
   mutable super_iters : int;
   mutable super_bailouts : int;
   mutable vla_preds : int;
+  mutable session_insns : int;
 }
 
 (* Back-edge executions before a latch's trace is formed. High enough
@@ -306,6 +329,7 @@ let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
     super_iters = 0;
     super_bailouts = 0;
     vla_preds = 0;
+    session_insns = 0;
   }
 
 let out_pc eng = eng.out_pc
@@ -317,6 +341,7 @@ let supers_built eng = eng.supers_built
 let super_iters eng = eng.super_iters
 let super_bailouts eng = eng.super_bailouts
 let vla_preds eng = eng.vla_preds
+let session_insns eng = eng.session_insns
 
 (* --- charge helpers (shared by thunks and repair) --- *)
 
@@ -430,6 +455,19 @@ let compile_suop insn =
         | Insn.Imm v -> Scmp_i { s1 = Reg.index src1; imm = v }
         | Insn.Reg r -> Scmp_r { s1 = Reg.index src1; s2 = Reg.index r })
   | Insn.B _ | Insn.Bl _ | Insn.Ret | Insn.Halt -> None
+
+let vdst_none = -1
+let vdst_scratch = -2
+
+(* Where the value [step] feeds a live session lives once the uop has
+   run: its destination register, or the scratch effect for predicated
+   ops whose condition may have failed. *)
+let value_source = function
+  | Smov_i { dst; _ } | Smov_r { dst; _ } | Sdp_i { dst; _ } | Sdp_r { dst; _ }
+  | Sld { dst; _ } ->
+      dst
+  | Spred _ -> vdst_scratch
+  | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Svla _ | Srvv _ -> vdst_none
 
 (* Everything [step] charges before exec, statically known per
    instruction. *)
@@ -656,7 +694,7 @@ let compile_block eng pc0 =
       (* no accelerator: [step] raises the exact Sigill *)
       S_noblock
   | Minsn.S _ | Minsn.V _ ->
-      let uops = ref [] and charges = ref [] in
+      let uops = ref [] and charges = ref [] and insns = ref [] in
       let nu = ref 0 in
       let first_insn = ref None in
       let prev_ld : Reg.t option ref = ref None in
@@ -671,10 +709,11 @@ let compile_block eng pc0 =
         end
         else begin
           match code.(!pc) with
-          | Minsn.S (Insn.B { cond; target }) ->
+          | Minsn.S (Insn.B { cond; target } as insn) ->
               term :=
                 (if Cond.equal cond Cond.Al then T_jump { key = !pc; target }
                  else T_branch { cond; key = !pc; target; fall = !pc + 1 });
+              if not vector then insns := insn :: !insns;
               term_is_insn := true;
               stop := true
           | Minsn.S (Insn.Bl _ | Insn.Ret | Insn.Halt) ->
@@ -699,6 +738,7 @@ let compile_block eng pc0 =
                       | Some _ | None -> 0
                     in
                     uops := u :: !uops;
+                    insns := insn :: !insns;
                     charges := (hazard + scalar_charge eng insn) :: !charges;
                     incr nu;
                     prev_ld :=
@@ -742,6 +782,13 @@ let compile_block eng pc0 =
               end
             done);
         let uarr = Array.of_list (List.rev !uops) in
+        let b_cycles = Array.fold_left ( + ) 0 charge in
+        let data_probes =
+          Array.fold_left
+            (fun acc u ->
+              match u with Sld _ | Sst _ -> acc + 2 | _ -> acc)
+            0 uarr
+        in
         let bases = Array.map (compile_thunk eng ~lanes:eng.lanes) uarr in
         let thunks =
           Array.mapi
@@ -760,10 +807,15 @@ let compile_block eng pc0 =
             b_n;
             b_scalar = (if vector then 0 else b_n);
             b_vector = (if vector then b_n else 0);
-            b_cycles = Array.fold_left ( + ) 0 charge;
+            b_cycles;
             b_newline = newline;
             b_nlines = !nlines;
             b_first = !first_insn;
+            b_insns = Array.of_list (List.rev !insns);
+            b_vdst = Array.map value_source uarr;
+            b_max_cycles =
+              b_cycles + 1 + eng.mispredict_penalty
+              + (eng.mem_latency * (!nlines + data_probes));
             b_exit_pending =
               (if vector || !term_is_insn then None else !prev_ld);
             b_passthrough = vector;
@@ -823,20 +875,12 @@ let repair_block eng b k =
   eng.out_pending <- None;
   eng.out_pc <- b.b_pc + k
 
-let exec_block eng b =
+(* Everything a block execution owes after its uops ran: the branch
+   terminator's fetch, the batched stat delta, the exit hazard and the
+   terminator itself. *)
+let[@inline] retire_block eng b =
   let ctx = eng.ctx and stats = eng.stats in
-  entry_stall eng eng.out_pending b;
-  let thunks = b.b_thunks in
-  let nu = Array.length thunks in
-  let i = ref 0 in
-  (try
-     while !i < nu do
-       (Array.unsafe_get thunks !i) ();
-       incr i
-     done
-   with e ->
-     repair_block eng b !i;
-     raise e);
+  let nu = Array.length b.b_thunks in
   (if b.b_n > nu then
      let la = Array.unsafe_get b.b_newline nu in
      if la >= 0 then icache_access eng la);
@@ -862,6 +906,54 @@ let exec_block eng b =
       let taken = Cond.holds cond ctx.Sem.flags in
       if taken then record_branch eng ~key ~taken:true;
       eng.out_pc <- (if taken then target else fall)
+
+let exec_block eng b =
+  entry_stall eng eng.out_pending b;
+  let thunks = b.b_thunks in
+  let nu = Array.length thunks in
+  let i = ref 0 in
+  (try
+     while !i < nu do
+       (Array.unsafe_get thunks !i) ();
+       incr i
+     done
+   with e ->
+     repair_block eng b !i;
+     raise e);
+  retire_block eng b
+
+(* A scalar block under a live translator session: the same thunks,
+   each followed by the retirement tap with exactly the event [step]
+   would feed — the image's own instruction, and the destination value
+   read back from the register file (or the scratch effect of a
+   predicated op). The branch terminator retires with no value. *)
+let exec_block_observed eng b tr =
+  entry_stall eng eng.out_pending b;
+  let ctx = eng.ctx in
+  let regs = ctx.Sem.regs in
+  let thunks = b.b_thunks and insns = b.b_insns and vdst = b.b_vdst in
+  let nu = Array.length thunks in
+  let i = ref 0 in
+  (try
+     while !i < nu do
+       let k = !i in
+       (Array.unsafe_get thunks k) ();
+       let d = Array.unsafe_get vdst k in
+       Translator.observe tr ~pc:(b.b_pc + k) ~insn:(Array.unsafe_get insns k)
+         ~value:
+           (if d >= 0 then Array.unsafe_get regs d
+            else if d = vdst_scratch then ctx.Sem.e_value
+            else Sem.no_value);
+       i := k + 1
+     done
+   with e ->
+     eng.session_insns <- eng.session_insns + !i;
+     repair_block eng b !i;
+     raise e);
+  if b.b_n > nu then
+    Translator.observe tr ~pc:(b.b_pc + nu) ~insn:insns.(nu) ~value:Sem.no_value;
+  eng.session_insns <- eng.session_insns + b.b_n;
+  retire_block eng b
 
 (* --- superblocks --- *)
 
@@ -1361,6 +1453,41 @@ let try_exec eng ~pc ~retired ~pending =
             exec_block eng b;
             super_check eng b;
             match next_block eng b with Some nb -> go nb | None -> ()
+          in
+          go b;
+          true
+        end
+
+(* The observed dispatch: blocks under a live translator session. Only
+   scalar blocks run (a session is never fed vector instructions, so
+   [step] keeps those), and only blocks inside which no interrupt can
+   fire: [interrupt_at] is the dispatcher's next interrupt cycle, and
+   a block is admitted when even its worst-case charge ends before it.
+   The session therefore sees exactly the stepped stream and is aborted
+   by an interrupt at exactly the stepped instruction. Superblocks
+   neither run nor warm up here: a session spans one scalar execution
+   of a region, so back-edge counts, and with them trace formation,
+   are the same whether sessions are observed here or stepped. *)
+let try_exec_observed eng tr ~pc ~retired ~pending ~interrupt_at =
+  let admits b =
+    (not b.b_passthrough)
+    && b.b_max_cycles < interrupt_at - eng.stats.Stats.cycles
+  in
+  if pc < 0 || pc >= Array.length eng.slots then false
+  else
+    match slot_at eng pc with
+    | S_noblock | S_unknown -> false
+    | S_block b ->
+        if retired + b.b_n > eng.fuel || not (admits b) then false
+        else begin
+          eng.out_retired <- retired;
+          eng.out_pending <- pending;
+          eng.out_pc <- pc;
+          let rec go b =
+            exec_block_observed eng b tr;
+            match next_block eng b with
+            | Some nb when admits nb -> go nb
+            | Some _ | None -> ()
           in
           go b;
           true

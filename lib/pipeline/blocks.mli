@@ -29,11 +29,12 @@
     The engine is an execution strategy, not a semantics change: every
     architectural value and every counter is bit-identical to the
     step-by-step engine. {!Cpu} only dispatches here when fidelity
-    permits — no live translator session, no trace consumer, no fault
-    hooks, and enough fuel for the whole block — and falls back to
-    [step] otherwise. A micro-op that raises (vector [Sigill]) repairs
-    the partial per-step accounting before re-raising, so escaping
-    diagnostics also match. *)
+    permits — no trace consumer, no fault hooks, and enough fuel for the
+    whole block — and falls back to [step] otherwise. A live translator
+    session is observed on blocks ({!try_exec_observed}); control flow
+    (region calls, returns, halts) is always stepped. A micro-op that
+    raises (vector [Sigill]) repairs the partial per-step accounting
+    before re-raising, so escaping diagnostics also match. *)
 
 open Liquid_isa
 open Liquid_machine
@@ -76,6 +77,23 @@ val try_exec : t -> pc:int -> retired:int -> pending:Reg.t option -> bool
     the out-fields are valid for diagnostics before the exception
     propagates. *)
 
+val try_exec_observed :
+  t ->
+  Translator.t ->
+  pc:int ->
+  retired:int ->
+  pending:Reg.t option ->
+  interrupt_at:int ->
+  bool
+(** {!try_exec} under a live translator session: each retired
+    instruction is fed to the session through {!Translator.observe}
+    with the same pc, instruction and value [step] would feed. Runs
+    scalar blocks only, and only blocks that cannot reach
+    [interrupt_at] (the cycle at which the dispatcher's next interrupt
+    fires; [max_int] when interrupts are off), so the session observes
+    exactly the stepped stream. Superblocks are neither run nor warmed
+    here. [false] means the caller steps. *)
+
 val out_pc : t -> int
 val out_retired : t -> int
 val out_pending : t -> Reg.t option
@@ -115,6 +133,10 @@ val super_bailouts : t -> int
 (** Superblock exits back to the block path: guard failures (the loop's
     normal exit through the trace) plus fuel-pressure bail-outs
     (telemetry). *)
+
+val session_insns : t -> int
+(** Instructions this engine fed to translator sessions
+    ({!try_exec_observed}). *)
 
 val vla_preds : t -> int
 (** Predicated vector micro-ops ({!Liquid_visa.Vla.Pred}) dispatched by

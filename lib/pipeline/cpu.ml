@@ -134,6 +134,7 @@ type run = {
   permutes_recovered : int;
   permutes_aborted : int;
   tbl_index_builds : int;
+  session_insns : int;
 }
 
 type racc = {
@@ -193,6 +194,15 @@ type state = {
       (* permutation placeholders across every finished translation
          session (cached and oracle alike), accumulated from each
          session's [Translator.perm_tally] *)
+  mutable session_insns : int;
+      (* instructions [step] fed to a live session; the engine keeps its
+         own tally of the ones it fed on blocks *)
+  mutable installs_rev : (int * Ucode.t) list;
+      (* every microcode a live session installed, newest first; only
+         [run_with_installs] hands it out, so a collected [run] never
+         retains it *)
+  mutable recorder : (Translator.t -> entry:int -> Event.t -> unit) option;
+      (* [session_events] only: sees every event [step] feeds *)
   eng : Blocks.t option;
       (* the translation-block engine; [None] when disabled by config or
          when fidelity demands stepping throughout (trace consumer or
@@ -352,6 +362,7 @@ let close_session st s =
              latency = ready - s.s_start_cycle;
            });
       Ucode_cache.install st.ucache ~key:s.s_entry ~ready u;
+      st.installs_rev <- (s.s_entry, u) :: st.installs_rev;
       acc.outcome <-
         R_installed { width = u.Ucode.width; uops = Array.length u.Ucode.uops }
   | Translator.Aborted reason ->
@@ -362,24 +373,20 @@ let close_session st s =
         (if Diag.classify_abort reason = `Permanent then R_failed reason
          else R_untried)
 
-(* Feed only the session that was live before the current instruction:
-   the region branch-and-link that just opened a session is not part of
-   the region's own retirement stream. The destination value is read
-   from the context scratch effect; the [Some] box is only built while a
-   translation session is actually live. *)
 (* An untranslatable stand-in for a corrupted decode: a call inside a
    region has no Table 3 rule in any DFA state, so the session aborts
    whether it is building or verifying. *)
 let poison_insn = Insn.Bl { target = 0; region = false }
 
+(* Feed only the session that was live before the current instruction:
+   the region branch-and-link that just opened a session is not part of
+   the region's own retirement stream. The destination value is read
+   from the context scratch effect. *)
 let feed_session st session pc insn =
   match session with
   | None -> ()
   | Some s ->
-      let value =
-        let v = st.ctx.Sem.e_value in
-        if v = Sem.no_value then None else Some v
-      in
+      st.session_insns <- st.session_insns + 1;
       let insn =
         match st.cfg.faults with
         | Some f
@@ -388,7 +395,15 @@ let feed_session st session pc insn =
             poison_insn
         | Some _ | None -> insn
       in
-      Translator.feed s.tr (Event.make ~pc ?value insn);
+      let value = st.ctx.Sem.e_value in
+      Translator.observe s.tr ~pc ~insn ~value;
+      (match st.recorder with
+      | Some record ->
+          record s.tr ~entry:s.s_entry
+            (Event.make ~pc
+               ?value:(if value = Sem.no_value then None else Some value)
+               insn)
+      | None -> ());
       match st.cfg.faults with
       | Some f -> (
           match
@@ -694,9 +709,12 @@ let interrupt_check st =
     (* The threshold catches up by division only when it actually fires
        (equivalent to tracking the epoch every step: [now >= (e+1)*p]
        iff [now/p > e]), so the hot path is one comparison. Blocks defer
-       the check to the next [step]; no session can be live meanwhile,
-       so the first stepped instruction observes the same epoch
-       transition the per-step engine would have. *)
+       the check to the next [step]. With no session live an interrupt
+       only moves the threshold, which after any check is the first
+       epoch boundary past [now] whenever the check ran, so deferring
+       is unobservable. With a session live the engine only runs blocks
+       that end before the threshold ([Blocks.try_exec_observed]), so
+       the interrupt fires at exactly the stepped instruction. *)
     (match st.cfg.interrupt_interval with
     | None -> assert false (* threshold stays at [max_int] *)
     | Some period -> st.next_interrupt_at <- ((now / period) + 1) * period);
@@ -860,6 +878,9 @@ let init_state config image =
       perm_seen = 0;
       perm_recovered = 0;
       perm_aborted = 0;
+      session_insns = 0;
+      installs_rev = [];
+      recorder = None;
       eng;
     }
   in
@@ -928,16 +949,22 @@ let collect st mem ctx =
     permutes_recovered = st.perm_recovered;
     permutes_aborted = st.perm_aborted;
     tbl_index_builds = ctx.Sem.n_tbl_builds;
+    session_insns =
+      (st.session_insns
+      + match st.eng with Some e -> Blocks.session_insns e | None -> 0);
   }
 
 (* The main loop. With the block engine on, every pc is first offered to
    the block cache; the engine declines (and we step faithfully) at
    region calls, returns, halts, wild pcs and under fuel pressure. A
-   live translator session forces stepping so the session observes every
-   retired instruction — sessions open and close only inside [step], so
-   this check at dispatch granularity is exact. On an exception escaping
-   the engine, the out-fields carry the repaired per-step position; sync
-   them so [run_result] reports identical diagnostics. *)
+   live translator session is observed on blocks: the engine feeds it
+   each retired instruction itself. Every instruction that reads or
+   changes [st.session] — region calls, returns, and the interrupt
+   check that may abort it — runs in [step], so the session seen at
+   dispatch stays the live one for the whole engine run. On an
+   exception escaping the engine, the out-fields carry the repaired
+   per-step position; sync them so [run_result] reports identical
+   diagnostics. *)
 let exec_loop st =
   match st.eng with
   | None ->
@@ -946,22 +973,24 @@ let exec_loop st =
       done
   | Some eng ->
       while not st.halted do
-        match st.session with
-        | Some _ -> step st
-        | None -> (
-            match
+        match
+          match st.session with
+          | None ->
               Blocks.try_exec eng ~pc:st.pc ~retired:st.retired
                 ~pending:st.last_load_dst
-            with
-            | true ->
-                st.pc <- Blocks.out_pc eng;
-                st.retired <- Blocks.out_retired eng;
-                st.last_load_dst <- Blocks.out_pending eng
-            | false -> step st
-            | exception e ->
-                st.pc <- Blocks.out_pc eng;
-                st.retired <- Blocks.out_retired eng;
-                raise e)
+          | Some s ->
+              Blocks.try_exec_observed eng s.tr ~pc:st.pc ~retired:st.retired
+                ~pending:st.last_load_dst ~interrupt_at:st.next_interrupt_at
+        with
+        | true ->
+            st.pc <- Blocks.out_pc eng;
+            st.retired <- Blocks.out_retired eng;
+            st.last_load_dst <- Blocks.out_pending eng
+        | false -> step st
+        | exception e ->
+            st.pc <- Blocks.out_pc eng;
+            st.retired <- Blocks.out_retired eng;
+            raise e
       done
 
 let run ?(config = scalar_config) image =
@@ -978,3 +1007,23 @@ let run_result ?(config = scalar_config) image =
       Error
         (Diag.make ~fault:(Diag.Illegal m) ~pc:st.pc
            ~cycle:st.stats.Stats.cycles ~retired:st.retired)
+
+let run_with_installs ?(config = scalar_config) image =
+  let st, mem, ctx = init_state config image in
+  exec_loop st;
+  (collect st mem ctx, List.rev st.installs_rev)
+
+let session_events ?(config = scalar_config) image =
+  let st, _, _ = init_state { config with blocks = false } image in
+  let sessions = ref [] in
+  st.recorder <-
+    Some
+      (fun tr ~entry ev ->
+        match !sessions with
+        | (tr', _, evs) :: _ when tr' == tr -> Vec.push evs ev
+        | _ ->
+            let evs = Vec.create () in
+            Vec.push evs ev;
+            sessions := (tr, entry, evs) :: !sessions);
+  exec_loop st;
+  List.rev_map (fun (_, entry, evs) -> (entry, Vec.to_array evs)) !sessions

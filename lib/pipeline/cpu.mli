@@ -118,7 +118,8 @@ type config = {
           escape hatch for debugging and for measuring the engine's own
           speedup. The engine silently self-disables when a trace
           observer or fault hooks are configured (those need per-step
-          fidelity). *)
+          fidelity). A live translator session does not disable it: the
+          engine feeds the session itself. *)
   superblocks : bool;
       (** form trace superblocks on hot conditional back-edges and run
           steady-state loop iterations through them ({!Blocks}); default
@@ -126,8 +127,8 @@ type config = {
           plain block engine on every pinned counter — an escape hatch
           for debugging and for measuring the trace tier's own
           speedup. Inherits the block engine's self-disable conditions
-          (trace observer, fault hooks, live sessions, fuel
-          pressure). *)
+          (trace observer, fault hooks, fuel pressure); while a
+          translator session is live, traces neither run nor warm up. *)
 }
 
 val scalar_config : config
@@ -202,6 +203,11 @@ type run = {
   tbl_index_builds : int;
       (** [Tblidx] index-table materializations executed (once per
           region call and distinct pattern on the VLA target) *)
+  session_insns : int;
+      (** retired instructions fed to a live translator session, on
+          either tier (stepped or observed on blocks); identical with
+          the block engine on or off. Oracle translations replay
+          off-line and are not counted *)
 }
 
 val run : ?config:config -> Image.t -> run
@@ -216,3 +222,19 @@ val run_result : ?config:config -> Image.t -> (run, Diag.t) result
     fault plus a machine snapshot (pc, cycle, retired count) — instead
     of raising. {!Sem.Sigill} is converted to a [Diag.Illegal] fault at
     this boundary; no exception escapes. *)
+
+val run_with_installs :
+  ?config:config -> Image.t -> run * (int * Ucode.t) list
+(** {!run}, plus every microcode the live translator installed, in
+    install order, as [(region entry, microcode)] (a retranslation after
+    an eviction or a failed guard adds one; oracle microcode is not
+    listed). For differential tests; {!run} itself retains none of
+    it. *)
+
+val session_events : ?config:config -> Image.t -> (int * Event.t array) list
+(** Run the image and return every live translator session that was
+    fed at least one event, in order, as [(region entry, events)]: the
+    retirement events the session was fed, exactly as {!run} feeds
+    them. Runs with the block engine off (the events are the same on
+    both tiers). For tests and benchmarks that replay real sessions
+    through {!Translator}. Raises like {!run}. *)

@@ -39,8 +39,8 @@ let translate_region_result ?(max_uops = 64) ?(backend = Backend.fixed) ?state
       match image.Image.code.(!pc) with
       | Minsn.V _ -> fail Diag.Region_vector_insn
       | Minsn.S insn -> (
-          let outcome, eff = Sem.step_scalar ctx ~pc:!pc insn in
-          Translator.feed tr (Event.make ~pc:!pc ?value:eff.Sem.value insn);
+          let outcome = Sem.exec_scalar ctx ~pc:!pc insn in
+          Translator.observe tr ~pc:!pc ~insn ~value:ctx.Sem.e_value;
           match outcome with
           | Sem.Next -> incr pc
           | Sem.Jump t -> pc := t

@@ -5,7 +5,7 @@ module Memory = Liquid_machine.Memory
 exception Sigill of string
 
 let max_lanes = Width.lanes Width.max
-let no_value = min_int
+let no_value = Liquid_translate.Translator.no_value
 
 type ctx = {
   regs : int array;
@@ -176,9 +176,10 @@ let step_scalar ctx ~pc insn =
    register names to indices, folds immediates (including [Word]
    normalization and index shifts) once, and replays each retired
    instruction through one of these. Each kernel is the corresponding
-   [exec_scalar] arm minus decode and scratch-effect recording — the
-   scratch effect is only ever consumed by a live translator session,
-   and blocks never run while one is open. *)
+   [exec_scalar] arm minus decode and scratch-effect recording. The
+   scratch value is only ever consumed by a live translator session;
+   when the engine runs under one it reads the destination register
+   back instead. *)
 
 let[@inline] kernel_mov_imm ctx ~dst v = ctx.regs.(dst) <- v
 

@@ -138,8 +138,8 @@ val step_vector : ctx -> Vinsn.exec -> effect
     immediate arrives already [Word]-normalized, and load/store
     addresses arrive fully computed. Semantically equivalent to
     [exec_scalar] on the same instruction; the scratch effect they skip
-    is only observable by a live translator session, under which the
-    block engine never runs. *)
+    is only observable by a live translator session, which the block
+    engine feeds from the destination register instead. *)
 
 val kernel_mov_imm : ctx -> dst:int -> int -> unit
 val kernel_mov_reg : ctx -> dst:int -> src:int -> unit
@@ -162,7 +162,7 @@ val kernel_st : ctx -> addr:int -> bytes:int -> src:int -> unit
     ([e_nacc]/[acc_*]) is maintained exactly (the engine derives
     data-cache charges from it), while the [e_value]/[e_taken] scratch is
     skipped — only a live translator session observes it, and the block
-    engine never runs under one. Deterministic faults (unsupported
+    engine runs vector code only while no session is live. Deterministic faults (unsupported
     permutation, mismatched constant vector) are compiled into thunks
     that raise {!Sigill} with the interpretive message on every
     execution. *)

@@ -40,6 +40,21 @@ let num_field obj name =
   | Some (Json.Float f) -> Ok (Some f)
   | Some _ -> Error (Printf.sprintf "field %S: expected number" name)
 
+(* Supervision knobs are budgets and counts: a negative (or, for a
+   number, non-finite) value has no meaning, so it is a protocol error
+   rather than something the supervisor silently clamps. *)
+let non_negative name = function
+  | Some v when v < 0 ->
+      Error (Printf.sprintf "field %S: must be non-negative, got %d" name v)
+  | v -> Ok v
+
+let non_negative_num name = function
+  | Some f when (not (Float.is_finite f)) || f < 0.0 ->
+      Error
+        (Printf.sprintf "field %S: must be a finite non-negative number, got %g"
+           name f)
+  | v -> Ok v
+
 let bool_field obj name ~default =
   match Json.member name obj with
   | None | Some Json.Null -> Ok default
@@ -69,12 +84,18 @@ let parse_job obj =
       in
       let* priority = int_field obj "priority" in
       let* fuel = int_field obj "fuel" in
+      let* fuel = non_negative "fuel" fuel in
       let* deadline_ms = num_field obj "deadline_ms" in
+      let* deadline_ms = non_negative_num "deadline_ms" deadline_ms in
       let* retries = int_field obj "retries" in
+      let* retries = non_negative "retries" retries in
       let* blocks = bool_field obj "blocks" ~default:true in
       let* superblocks = bool_field obj "superblocks" ~default:true in
       let* fault_seed = int_field obj "fault_seed" in
       let* transient_attempts = int_field obj "transient_attempts" in
+      let* transient_attempts =
+        non_negative "transient_attempts" transient_attempts
+      in
       Ok
         (Job
            {

@@ -33,8 +33,10 @@ type request =
 
 val parse_request : string -> (request, string) result
 (** Parse one JSONL line. Unknown [op] values, missing [workload],
-    malformed variants and ill-typed fields are errors (the service
-    counts them as protocol errors, not failed jobs). *)
+    malformed variants (including widths above 16 lanes), ill-typed
+    fields and negative or non-finite supervision values ([fuel],
+    [deadline_ms], [retries], [transient_attempts]) are errors (the
+    service counts them as protocol errors, not failed jobs). *)
 
 val fingerprint : spec -> int
 (** FNV-1a hash over the semantic job fields — workload, variant, fuel,

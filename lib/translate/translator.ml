@@ -69,7 +69,17 @@ type fold_src = {
   mutable f_sound : bool;
 }
 
-type verify_state = { pattern : Event.t array; mutable next : int }
+(* One static instruction of the loop body, as the Verify phase checks
+   it. [vs_load] caches the value and address streams of a load whose
+   values the Build phase recorded, so a verified event appends to them
+   without a table probe; it is [None] for every other instruction. *)
+type vslot = {
+  vs_pc : int;
+  vs_insn : Insn.exec;
+  vs_load : (int Vec.t * fold_src) option;
+}
+
+type verify_state = { pattern : vslot array; mutable next : int }
 
 type phase = Build | Verify of verify_state
 
@@ -115,6 +125,7 @@ type t = {
 }
 
 let scratch_vreg = Vreg.make 15
+let no_value = min_int
 
 let create cfg =
   {
@@ -152,7 +163,9 @@ let observed t = t.observed
 let perm_tally t =
   { seen = t.perm_seen; recovered = t.perm_recovered; aborted = t.perm_aborted }
 let static_insns t = Vec.length t.build_events
-let fail t reason = if t.failure = None then t.failure <- Some reason
+
+let fail t reason =
+  match t.failure with None -> t.failure <- Some reason | Some _ -> ()
 
 let emit t ~pc content =
   let idx = Vec.length t.slots in
@@ -187,6 +200,14 @@ let record_load_base t pc addr =
    append it to the per-pc stream. Mirrors [Sem.mem_addr]; a load whose
    index register was never defined inside the region (no shadow) makes
    the stream unsound for constant folding. *)
+let push_load_addr t src ~base ~index ~shift =
+  match (base, index) with
+  | Insn.Sym a, Insn.Reg r when t.shadow_ok.(Reg.index r) ->
+      Vec.push src.f_addrs
+        (Word.add a (Word.shl t.shadow.(Reg.index r) shift))
+  | Insn.Sym a, Insn.Imm v -> Vec.push src.f_addrs (Word.add a (Word.shl v shift))
+  | (Insn.Sym _ | Insn.Breg _), _ -> src.f_sound <- false
+
 let record_load_addr t pc ~esize ~signed ~base ~index ~shift =
   let src =
     match Hashtbl.find_opt t.fold_srcs pc with
@@ -203,25 +224,21 @@ let record_load_addr t pc ~esize ~signed ~base ~index ~shift =
         Hashtbl.replace t.fold_srcs pc s;
         s
   in
-  match (base, index) with
-  | Insn.Sym a, Insn.Reg r when t.shadow_ok.(Reg.index r) ->
-      Vec.push src.f_addrs
-        (Word.add a (Word.shl t.shadow.(Reg.index r) shift))
-  | Insn.Sym a, Insn.Imm v -> Vec.push src.f_addrs (Word.add a (Word.shl v shift))
-  | (Insn.Sym _ | Insn.Breg _), _ -> src.f_sound <- false
+  push_load_addr t src ~base ~index ~shift
 
 (* Track concrete register values alongside the abstract translation
    state. Called after the build/verify step for each event, so a load
    that overwrites its own index register still resolves its address
    from the pre-load value. *)
-let shadow_update t (ev : Event.t) =
-  match ev.insn with
-  | Insn.Mov { dst; _ } | Insn.Dp { dst; _ } | Insn.Ld { dst; _ } -> (
-      match ev.value with
-      | Some v ->
-          t.shadow.(Reg.index dst) <- v;
-          t.shadow_ok.(Reg.index dst) <- true
-      | None -> t.shadow_ok.(Reg.index dst) <- false)
+let shadow_update t insn (value : int) =
+  match insn with
+  | Insn.Mov { dst; _ } | Insn.Dp { dst; _ } | Insn.Ld { dst; _ } ->
+      let r = Reg.index dst in
+      if value <> no_value then begin
+        t.shadow.(r) <- value;
+        t.shadow_ok.(r) <- true
+      end
+      else t.shadow_ok.(r) <- false
   | Insn.St _ | Insn.Cmp _ | Insn.B _ | Insn.Bl _ | Insn.Ret | Insn.Halt -> ()
 
 let rstate t r = t.regs.(Reg.index r)
@@ -708,7 +725,23 @@ let build_branch t (ev : Event.t) ~cond ~target =
           in
           find 0
         in
-        let pattern = Array.sub events start (Array.length events - start) in
+        (* The set of loads with recorded streams is final here: only
+           the Build phase adds one. *)
+        let vslot (e : Event.t) =
+          let vs_load =
+            match e.insn with
+            | Insn.Ld _ -> (
+                match Hashtbl.find_opt t.values e.pc with
+                | Some stream -> Some (stream, Hashtbl.find t.fold_srcs e.pc)
+                | None -> None)
+            | _ -> None
+          in
+          { vs_pc = e.pc; vs_insn = e.insn; vs_load }
+        in
+        let pattern =
+          Array.init (Array.length events - start) (fun i ->
+              vslot events.(start + i))
+        in
         t.iterations <- 1;
         t.phase <- Verify { pattern; next = 0 }
       end
@@ -774,22 +807,29 @@ let build_step t (ev : Event.t) =
 
 (* --- Verify phase: later iterations must repeat the first --- *)
 
-let verify_step t (v : verify_state) (ev : Event.t) =
-  match ev.insn with
+(* The steady state of every session: allocation-free. Retired
+   instructions are the image's own [Insn.exec] values, so the physical
+   test settles almost every comparison; the structural one only runs
+   for events built elsewhere (tests, replays). *)
+let verify_step t (v : verify_state) ~pc ~insn ~value =
+  match insn with
   | Insn.Ret ->
       if v.next = 0 then t.saw_ret <- true
       else fail t (Abort.Inconsistent_iteration "return mid-iteration")
   | _ ->
       let expected = v.pattern.(v.next) in
-      if ev.pc = expected.Event.pc && Insn.equal_exec ev.insn expected.Event.insn
+      if
+        pc = expected.vs_pc
+        && (insn == expected.vs_insn || Insn.equal_exec insn expected.vs_insn)
       then begin
-        (match (ev.insn, ev.value) with
-        | Insn.Ld { esize; signed; base; index; shift; _ }, Some value ->
-            if Hashtbl.mem t.values ev.pc then begin
-              record_value t ev.pc value;
-              record_load_addr t ev.pc ~esize ~signed ~base ~index ~shift
-            end
-        | _, _ -> ());
+        (match expected.vs_load with
+        | Some (stream, src) when value <> no_value -> (
+            Vec.push stream value;
+            match insn with
+            | Insn.Ld { base; index; shift; _ } ->
+                push_load_addr t src ~base ~index ~shift
+            | _ -> ())
+        | Some _ | None -> ());
         v.next <- v.next + 1;
         if v.next = Array.length v.pattern then begin
           v.next <- 0;
@@ -798,17 +838,26 @@ let verify_step t (v : verify_state) (ev : Event.t) =
       end
       else fail t (Abort.Inconsistent_iteration "instruction stream diverged")
 
-let feed t ev =
-  if t.failure = None then begin
-    t.observed <- t.observed + 1;
-    if t.saw_ret then fail t (Abort.Illegal_insn "instruction after return")
-    else begin
-      (match t.phase with
-      | Build -> build_step t ev
-      | Verify v -> verify_step t v ev);
-      shadow_update t ev
-    end
-  end
+let observe t ~pc ~insn ~value =
+  match t.failure with
+  | Some _ -> ()
+  | None ->
+      t.observed <- t.observed + 1;
+      if t.saw_ret then fail t (Abort.Illegal_insn "instruction after return")
+      else begin
+        (match t.phase with
+        | Build ->
+            build_step t
+              (Event.make ~pc
+                 ?value:(if value = no_value then None else Some value)
+                 insn)
+        | Verify v -> verify_step t v ~pc ~insn ~value);
+        shadow_update t insn value
+      end
+
+let feed t (ev : Event.t) =
+  observe t ~pc:ev.pc ~insn:ev.insn
+    ~value:(match ev.value with Some v -> v | None -> no_value)
 
 let abort_external t = fail t Abort.External_abort
 let inject t reason = fail t reason

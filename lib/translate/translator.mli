@@ -62,9 +62,22 @@ val create : config -> t
 (** Fresh session in the Build phase, ready for the region's first
     retired instruction. *)
 
+val no_value : int
+(** The [value] passed to {!observe} for an instruction that wrote no
+    destination register ([min_int], outside the 32-bit word range;
+    [Sem.no_value] is the same sentinel). *)
+
+val observe : t -> pc:int -> insn:Liquid_isa.Insn.exec -> value:int -> unit
+(** Process one retired instruction: its pc, the instruction, and the
+    value it wrote to its destination register ({!no_value} for none).
+    This is the retirement tap every caller uses; it allocates nothing
+    once the session has left its first loop iteration. After an abort
+    condition the session latches the failure and ignores further
+    events. *)
+
 val feed : t -> Event.t -> unit
-(** Process one retired instruction. After an abort condition the session
-    latches the failure and ignores further events. *)
+(** [observe] on a boxed {!Event.t}: [feed t (Event.make ~pc ?value insn)]
+    is [observe t ~pc ~insn ~value] with [None] mapped to {!no_value}. *)
 
 val abort_external : t -> unit
 (** Asynchronous abort: context switch or interrupt (paper §4.1). *)

@@ -140,3 +140,9 @@ let expect_ucode ?lanes ?max_uops ?backend ~data items msg =
   | Liquid_translate.Translator.Translated u -> u
   | Liquid_translate.Translator.Aborted r ->
       Alcotest.failf "%s: aborted: %s" msg (Liquid_translate.Abort.to_string r)
+
+(* Substring test, for checking that an error message names something. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0

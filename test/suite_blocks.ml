@@ -92,6 +92,143 @@ let check_variant w variant =
 
 let test_workload w () = List.iter (check_variant w) variants
 
+(* --- translator sessions observed on blocks --- *)
+
+(* With the engine on, a live translator session is fed by the engine
+   itself instead of forcing per-step execution. Observation must not
+   change what is observed: for every workload on each translating
+   backend and width, the blocks-on run (sessions observed on blocks)
+   and the blocks-off run (stepped sessions) must agree on timing,
+   architectural state, every region's outcome, the exact microcode
+   each session installed, and the number of instructions sessions
+   were fed. *)
+let session_variants =
+  List.concat_map
+    (fun w -> [ Runner.Liquid w; Runner.Liquid_vla w; Runner.Liquid_rvv w ])
+    widths
+
+let check_sessions_variant w variant =
+  let image = Image.of_program (Runner.program_of w variant) in
+  let config = Runner.config_of variant in
+  let on, on_installs = Cpu.run_with_installs ~config image in
+  let off, off_installs =
+    Cpu.run_with_installs ~config:{ config with Cpu.blocks = false } image
+  in
+  let what =
+    Printf.sprintf "%s/%s" w.Workload.name (Runner.variant_name variant)
+  in
+  let ck field = Alcotest.(check int) (what ^ ": " ^ field) in
+  ck "cycles" off.Cpu.stats.Stats.cycles on.Cpu.stats.Stats.cycles;
+  ck "retired"
+    (Stats.total_insns off.Cpu.stats)
+    (Stats.total_insns on.Cpu.stats);
+  ck "register hash" (regs_hash off.Cpu.regs) (regs_hash on.Cpu.regs);
+  ck "memory hash"
+    (mem_hash image off.Cpu.memory)
+    (mem_hash image on.Cpu.memory);
+  ck "session instructions" off.Cpu.session_insns on.Cpu.session_insns;
+  Alcotest.(check bool)
+    (what ^ ": sessions observed something")
+    true (on.Cpu.session_insns > 0);
+  Alcotest.(check int)
+    (what ^ ": region count")
+    (List.length off.Cpu.regions)
+    (List.length on.Cpu.regions);
+  List.iter2
+    (fun (a : Cpu.region_report) (b : Cpu.region_report) ->
+      let what = what ^ "/" ^ a.Cpu.label in
+      Alcotest.(check string) (what ^ ": label") a.Cpu.label b.Cpu.label;
+      Alcotest.(check bool)
+        (what ^ ": call cycles") true
+        (a.Cpu.calls = b.Cpu.calls);
+      Alcotest.(check int)
+        (what ^ ": microcode calls")
+        a.Cpu.ucode_served b.Cpu.ucode_served;
+      Alcotest.(check bool) (what ^ ": outcome") true (a.Cpu.outcome = b.Cpu.outcome))
+    off.Cpu.regions on.Cpu.regions;
+  Alcotest.(check bool)
+    (what ^ ": installed microcode") true
+    (off_installs = on_installs);
+  Alcotest.(check bool)
+    (what ^ ": sessions installed microcode") true
+    (on_installs <> [])
+
+let test_sessions_workload w () =
+  List.iter (check_sessions_variant w) session_variants
+
+(* The observed dispatch in isolation: one call runs a region's whole
+   loop on blocks (chaining across the back-edge) and stops at the
+   return, having fed the session every instruction it retired — the
+   same stream the stepping offline harness feeds, hence the same
+   microcode. With an interrupt already due it runs nothing. *)
+let test_observed_dispatch () =
+  let open Build in
+  let module Isa = Liquid_isa in
+  let module Tr = Liquid_translate.Translator in
+  let ind = Vloop.induction in
+  let data =
+    List.map
+      (fun (name, f) ->
+        Liquid_prog.Data.make ~name ~esize:Isa.Esize.Word (Array.init 16 f))
+      [ ("a", Fun.id); ("b", fun i -> 3 * i); ("c", fun _ -> 0) ]
+  in
+  let body =
+    [
+      mov ind 0;
+      label "f_top";
+      ld (r 1) "a" (ri ind);
+      ld (r 2) "b" (ri ind);
+      dp Isa.Opcode.Add (r 3) (r 1) (ri (r 2));
+      st (r 3) "c" (ri ind);
+      addi ind ind 1;
+      cmp ind (i 16);
+      b ~cond:Isa.Cond.Lt "f_top";
+    ]
+  in
+  let prog =
+    Program.make ~name:"observed"
+      ~text:
+        ((Program.Label "main" :: bl_region "f" :: [ halt ])
+        @ (Program.Label "f" :: body)
+        @ [ ret ])
+      ~data
+  in
+  let image = Image.of_program prog in
+  let entry = Option.get (Image.find_label image "f") in
+  let mem = Liquid_machine.Memory.create () in
+  Image.load_memory image mem;
+  let eng =
+    Blocks.create ~image ~ctx:(Sem.create_ctx mem) ~stats:(Stats.create ())
+      ~icache:None ~dcache:None
+      ~bpred:(Liquid_machine.Branch_pred.create ())
+      ~mem_latency:30 ~mul_extra:1 ~mispredict_penalty:3 ~vec_bus_bytes:16
+      ~lanes:(Some 4) ~max_uops:64 ~fuel:max_int ~superblocks:true
+  in
+  let tr = Tr.create (Tr.default_config ~lanes:4 ()) in
+  Alcotest.(check bool)
+    "declines while an interrupt is due" false
+    (Blocks.try_exec_observed eng tr ~pc:entry ~retired:0 ~pending:None
+       ~interrupt_at:0);
+  Alcotest.(check int) "nothing observed" 0 (Tr.observed tr);
+  Alcotest.(check bool)
+    "runs the region on blocks" true
+    (Blocks.try_exec_observed eng tr ~pc:entry ~retired:0 ~pending:None
+       ~interrupt_at:max_int);
+  let pc = Blocks.out_pc eng in
+  Alcotest.(check bool)
+    "stops at the return" true
+    (image.Image.code.(pc) = Liquid_visa.Minsn.S Isa.Insn.Ret);
+  Alcotest.(check int)
+    "every retired instruction observed" (Blocks.out_retired eng)
+    (Tr.observed tr);
+  Alcotest.(check int)
+    "engine tally" (Blocks.out_retired eng) (Blocks.session_insns eng);
+  Alcotest.(check bool) "the loop ran 16 times" true (Tr.observed tr > 16 * 7);
+  Tr.observe tr ~pc ~insn:Isa.Insn.Ret ~value:Tr.no_value;
+  Alcotest.(check bool)
+    "same microcode as the stepped offline session" true
+    (Tr.finish tr = Offline.translate_region ~image ~lanes:4 ~entry ())
+
 (* --- interrupts: epoch catch-up across block stretches --- *)
 
 (* Blocks never run [interrupt_check]; the countdown threshold catches
@@ -110,6 +247,11 @@ let test_interrupts () =
   let on = Cpu.run ~config image in
   let off = Cpu.run ~config:{ config with Cpu.blocks = false } image in
   check_identical "FFT/interrupt-1000" on off;
+  (* a live session is only observed on blocks that end before the next
+     interrupt, so an interrupt aborts it at exactly the stepped
+     instruction and both tiers feed it the same stream *)
+  Alcotest.(check int) "FFT/interrupt-1000: session instructions"
+    off.Cpu.session_insns on.Cpu.session_insns;
   Alcotest.(check bool)
     "interrupts actually fired (sessions aborted)" true
     (on.Cpu.stats.Stats.translations_aborted > 0);
@@ -171,7 +313,14 @@ let tests =
         (Printf.sprintf "differential %s" w.Workload.name)
         `Quick (test_workload w))
     (Workload.all ())
+  @ List.map
+      (fun (w : Workload.t) ->
+        Alcotest.test_case
+          (Printf.sprintf "observed sessions %s" w.Workload.name)
+          `Quick (test_sessions_workload w))
+      (Workload.all ())
   @ [
+      Alcotest.test_case "observed dispatch" `Quick test_observed_dispatch;
       Alcotest.test_case "interrupt epoch catch-up" `Quick test_interrupts;
       Alcotest.test_case "fidelity self-disable" `Quick test_self_disable;
       Alcotest.test_case "fault campaign at default config" `Quick

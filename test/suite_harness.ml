@@ -192,6 +192,35 @@ let test_runner_variants () =
       Runner.Native 4;
     ]
 
+(* Widths are bounded by the widest accelerator at parse time, for the
+   CLI and the wire alike; odd widths below the bound still parse. *)
+let test_variant_width_bound () =
+  let parses s =
+    match Runner.variant_of_string s with Ok _ -> true | Error _ -> false
+  in
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " parses") true (parses s))
+    [ "liquid:16"; "rvv:16"; "native:16"; "vla:3"; "liquid:1" ];
+  List.iter
+    (fun s ->
+      match Runner.variant_of_string s with
+      | Ok _ -> Alcotest.failf "%s must not parse" s
+      | Error m ->
+          Alcotest.(check bool)
+            (s ^ ": error names the 16-lane limit")
+            true
+            (Helpers.contains m "16 lanes"))
+    [
+      "liquid:17";
+      "liquid:32";
+      "rvv:1024";
+      "vla:64";
+      "oracle:32";
+      "vla-oracle:32";
+      "rvv-oracle:32";
+      "native:32";
+    ]
+
 let tests =
   [
     Alcotest.test_case "hwmodel matches Table 2" `Quick test_hwmodel_matches_paper;
@@ -207,6 +236,7 @@ let tests =
       test_figure6_speedups_monotone_or_flat;
     Alcotest.test_case "region first gap" `Quick test_region_first_gap;
     Alcotest.test_case "runner variants" `Quick test_runner_variants;
+    Alcotest.test_case "variant width bound" `Quick test_variant_width_bound;
   ]
 
 (* --- CSV export --- *)

@@ -218,6 +218,31 @@ let test_parse_and_fingerprint () =
   (match Job.parse_request {|{"op": "flush"}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown op must not parse");
+  (* Supervision values are budgets and counts: negative or non-finite
+     ones are protocol errors, never jobs. *)
+  List.iter
+    (fun line ->
+      match Job.parse_request line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s must not parse" line)
+    [
+      {|{"workload": "FIR", "deadline_ms": -1}|};
+      {|{"workload": "FIR", "deadline_ms": -0.5}|};
+      {|{"workload": "FIR", "deadline_ms": 1e999}|};
+      {|{"workload": "FIR", "fuel": -1}|};
+      {|{"workload": "FIR", "retries": -1}|};
+      {|{"workload": "FIR", "transient_attempts": -3}|};
+      {|{"workload": "FIR", "variant": "liquid:32"}|};
+      {|{"workload": "FIR", "variant": "rvv:1024"}|};
+    ];
+  (match
+     Job.parse_request
+       {|{"workload": "FIR", "deadline_ms": 0, "fuel": 0, "retries": 0, "transient_attempts": 0}|}
+   with
+  | Ok (Job.Job s) ->
+      check_bool "zero deadline kept" true (s.Job.j_deadline_ms = Some 0.0);
+      check_bool "zero retries kept" true (s.Job.j_retries = Some 0)
+  | _ -> Alcotest.fail "zero supervision values must parse");
   let a = mk ~id:"x" ~priority:5 "FIR" in
   let b = mk ~id:"y" ~priority:0 "FIR" in
   check_bool "id/priority excluded from fingerprint" true
@@ -370,6 +395,38 @@ let test_run_script () =
 
 (* --- the soak: 500 seeded jobs, faults included, books must balance --- *)
 
+(* Out-of-range requests are refused at the protocol layer: the reply
+   is a protocol error naming the problem, nothing runs, and later jobs
+   are unaffected. A width the simulator cannot run ([rvv:1024]) must
+   not reach it, where it would fail inside [Memory.read_block] as a
+   "permanent" job failure. *)
+let test_run_script_rejects_out_of_range () =
+  let out =
+    Service.run_script
+      "{\"id\": \"w\", \"workload\": \"FIR\", \"variant\": \"rvv:1024\"}\n\
+       {\"id\": \"n\", \"workload\": \"FIR\", \"deadline_ms\": -1}\n\
+       {\"id\": \"ok\", \"workload\": \"FIR\", \"variant\": \"baseline\"}\n\
+       {\"op\": \"sync\"}\n\
+       {\"op\": \"metrics\"}\n"
+  in
+  let lines =
+    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' out)
+    |> List.map (fun l ->
+           match Json.of_string l with
+           | Ok j -> j
+           | Error e -> Alcotest.failf "reply line does not parse: %s" e)
+  in
+  match lines with
+  | [ e1; e2; ok; metrics ] ->
+      check_bool "width: protocol error names the limit" true
+        (Helpers.contains (jstr "error" e1) "16 lanes");
+      check_bool "deadline: protocol error names the field" true
+        (Helpers.contains (jstr "error" e2) "deadline_ms");
+      check_str "the valid job still runs" "ok" (jstr "id" ok);
+      check_str "ok" "ok" (jstr "status" ok);
+      check "two protocol errors counted" 2 (jint "protocol_errors" metrics)
+  | ls -> Alcotest.failf "expected 4 reply lines, got %d" (List.length ls)
+
 let test_soak_500 () =
   let rng = Fault.Rng.make 2007 in
   let workloads = [| "FIR"; "GSM Dec." |] in
@@ -471,4 +528,6 @@ let tests =
       test_shed_under_load;
     Alcotest.test_case "front end: run_script + quit" `Quick test_run_script;
     Alcotest.test_case "soak: 500 seeded jobs conserve" `Quick test_soak_500;
+    Alcotest.test_case "front end: out-of-range requests refused" `Quick
+      test_run_script_rejects_out_of_range;
   ]

@@ -654,6 +654,161 @@ let test_static_insns_counts_first_iteration () =
   check "one static insn" 1 (Translator.static_insns tr);
   check "one dynamic insn" 1 (Translator.observed tr)
 
+(* --- the allocation-free tap agrees with the boxed event feed --- *)
+
+(* [Translator.observe] is the retirement tap every caller uses; [feed]
+   boxes the same event. Replaying one stream both ways must give the
+   same session. The [feed] replay copies every instruction, so its
+   Verify phase never takes the physical-equality shortcut the
+   simulator's own streams hit: the structural comparison is exercised
+   too. *)
+let copy_insn (i : Insn.exec) : Insn.exec =
+  Marshal.from_string (Marshal.to_string i []) 0
+
+let value_of (ev : Event.t) =
+  match ev.value with Some v -> v | None -> Translator.no_value
+
+let replay_both config events =
+  let fast = Translator.create config in
+  Array.iter
+    (fun (ev : Event.t) ->
+      Translator.observe fast ~pc:ev.pc ~insn:ev.insn ~value:(value_of ev))
+    events;
+  let boxed = Translator.create config in
+  Array.iter
+    (fun (ev : Event.t) ->
+      Translator.feed boxed (Event.make ~pc:ev.pc ?value:ev.value (copy_insn ev.insn)))
+    events;
+  (fast, boxed)
+
+let agree what config events =
+  let fast, boxed = replay_both config events in
+  check (what ^ ": observed") (Translator.observed boxed) (Translator.observed fast);
+  check (what ^ ": static insns")
+    (Translator.static_insns boxed)
+    (Translator.static_insns fast);
+  let rf = Translator.finish fast and rb = Translator.finish boxed in
+  check_bool (what ^ ": same result") true (rf = rb);
+  check_bool (what ^ ": same permutation tally") true
+    (Translator.perm_tally fast = Translator.perm_tally boxed);
+  rf
+
+(* A hand-built region: [c[i] = a[i] + k[i]] over 4 iterations, where
+   [k] holds a constant that [finish] folds into a vector constant when
+   its address stream is sound. pcs: 0 mov, 1..7 loop body
+   (ld a, ld k, add, st c, add ind, cmp, blt), 8 ret. *)
+let ld_word dst base : Insn.exec =
+  Insn.Ld
+    {
+      esize = Esize.Word;
+      signed = true;
+      dst;
+      base = Insn.Sym base;
+      index = Insn.Reg ind;
+      shift = 2;
+    }
+
+let loop_events ?(drop_ind_value = false) ?(diverge = false)
+    ?(ret_mid_iteration = false) () =
+  let ld_a = ld_word (r 1) 0x1000 and ld_k = ld_word (r 2) 0x2000 in
+  let ld_k' = ld_word (r 2) 0x2100 in
+  let add : Insn.exec =
+    Insn.Dp { cond = Cond.Al; op = Opcode.Add; dst = r 3; src1 = r 1; src2 = Reg (r 2) }
+  in
+  let st_c : Insn.exec =
+    Insn.St
+      { esize = Esize.Word; src = r 3; base = Insn.Sym 0x3000; index = Insn.Reg ind; shift = 2 }
+  in
+  let inc : Insn.exec =
+    Insn.Dp { cond = Cond.Al; op = Opcode.Add; dst = ind; src1 = ind; src2 = Imm 1 }
+  in
+  let cmp_insn : Insn.exec = Insn.Cmp { src1 = ind; src2 = Imm 4 } in
+  let blt : Insn.exec = Insn.B { cond = Cond.Lt; target = 1 } in
+  let evs = ref [ Event.make ~pc:0 ~value:0 (Insn.Mov { cond = Cond.Al; dst = ind; src = Imm 0 }) ] in
+  let emit ev = evs := ev :: !evs in
+  (try
+     for it = 0 to 3 do
+       emit (Event.make ~pc:1 ~value:(10 + it) ld_a);
+       emit (Event.make ~pc:2 ~value:5 (if diverge && it = 1 then ld_k' else ld_k));
+       emit (Event.make ~pc:3 ~value:(15 + it) add);
+       if ret_mid_iteration && it = 1 then raise Exit;
+       emit (Event.make ~pc:4 st_c);
+       (* the increment of iteration 0 retires with no value: the
+          register shadow loses [ind], so the next loads' addresses
+          cannot be reconstructed *)
+       emit
+         (if drop_ind_value && it = 0 then Event.make ~pc:5 inc
+          else Event.make ~pc:5 ~value:(it + 1) inc);
+       emit (Event.make ~pc:6 cmp_insn);
+       emit (Event.make ~pc:7 blt)
+     done
+   with Exit -> ());
+  emit (Event.make ~pc:8 Insn.Ret);
+  Array.of_list (List.rev !evs)
+
+let folded_src2 = function
+  | Translator.Translated u ->
+      Array.exists
+        (function Ucode.UV (Vinsn.Vdp { src2 = VConst _; _ }) -> true | _ -> false)
+        u.Ucode.uops
+  | Translator.Aborted r -> Alcotest.failf "aborted: %s" (Abort.to_string r)
+
+let test_observe_matches_feed_synthetic () =
+  let config = Translator.default_config ~lanes:4 () in
+  check_bool "sound stream: constant folded" true
+    (folded_src2 (agree "sound" config (loop_events ())));
+  (* f_sound = false: the fold needs a guard per element, and an
+     address that cannot be reconstructed cannot be guarded *)
+  check_bool "index without shadow: not folded" false
+    (folded_src2 (agree "no shadow" config (loop_events ~drop_ind_value:true ())));
+  (match agree "diverging" config (loop_events ~diverge:true ()) with
+  | Translator.Aborted (Abort.Inconsistent_iteration "instruction stream diverged") -> ()
+  | _ -> Alcotest.fail "diverging stream: expected a divergence abort");
+  match agree "mid-iteration ret" config (loop_events ~ret_mid_iteration:true ()) with
+  | Translator.Aborted (Abort.Inconsistent_iteration "return mid-iteration") -> ()
+  | _ -> Alcotest.fail "mid-iteration return: expected an abort"
+
+(* Real sessions, recorded from full runs on every backend: each replays
+   to the same result both ways, and every translation equals the
+   microcode the run itself installed for that region. *)
+let test_observe_matches_feed_recorded () =
+  let module Cpu = Liquid_pipeline.Cpu in
+  let module Runner = Liquid_harness.Runner in
+  let module Workload = Liquid_workloads.Workload in
+  List.iter
+    (fun (name, variant) ->
+      let w = match Workload.find name with Some w -> w | None -> assert false in
+      let image = Image.of_program (Runner.program_of w variant) in
+      let cfg = Runner.config_of variant in
+      let tcfg =
+        {
+          Translator.lanes = Option.get cfg.Cpu.accel_lanes;
+          max_uops = cfg.Cpu.max_uops;
+          backend = cfg.Cpu.backend;
+        }
+      in
+      let what = name ^ "/" ^ Runner.variant_to_string variant in
+      let sessions = Cpu.session_events ~config:cfg image in
+      check_bool (what ^ ": sessions recorded") true (sessions <> []);
+      let translated =
+        List.filter_map
+          (fun (entry, events) ->
+            match agree what tcfg events with
+            | Translator.Translated u -> Some (entry, u)
+            | Translator.Aborted _ -> None)
+          sessions
+      in
+      let _, installs = Cpu.run_with_installs ~config:cfg image in
+      check_bool (what ^ ": replays install the same microcode") true
+        (translated = installs))
+    [
+      ("171.swim", Runner.Liquid 8);
+      ("093.nasa7", Runner.Liquid_vla 4);
+      ("FFT", Runner.Liquid_vla 8);
+      ("GSM Enc.", Runner.Liquid_rvv 8);
+      ("MPEG2 Dec.", Runner.Liquid 16);
+    ]
+
 let tests =
   [
     Alcotest.test_case "basic loop shape" `Quick test_basic_loop_shape;
@@ -705,6 +860,10 @@ let tests =
     Alcotest.test_case "external abort" `Quick test_external_abort;
     Alcotest.test_case "iteration divergence aborts" `Quick
       test_iteration_divergence_aborts;
+    Alcotest.test_case "observe matches feed (synthetic)" `Quick
+      test_observe_matches_feed_synthetic;
+    Alcotest.test_case "observe matches feed (recorded)" `Quick
+      test_observe_matches_feed_recorded;
     Alcotest.test_case "static vs dynamic counts" `Quick
       test_static_insns_counts_first_iteration;
   ]
