@@ -24,6 +24,7 @@ open Liquid_pipeline
 open Liquid_harness
 open Liquid_workloads
 module Hwmodel = Liquid_hwmodel.Hwmodel
+module Cache = Liquid_machine.Cache
 
 let find name = match Workload.find name with Some w -> w | None -> assert false
 let json_only = Array.exists (fun a -> a = "--json-only") Sys.argv
@@ -324,6 +325,22 @@ let bench_translate_observe =
              ignore (Tr.finish tr))
            sessions))
 
+(* The cache model alone, at the ARM926 geometry (8 sets x 64 ways): a
+   fresh cache, then 4,096 accesses over a hot set of 256 lines visited
+   in a scrambled order (all hits after the first pass, most of them on
+   a line that is not its set's most recent, so the recency ring is
+   relinked), then 4,096 accesses streaming through distinct lines (all
+   misses; past the first 512 each one evicts its set's LRU line). *)
+let bench_cache_access =
+  let line = Cache.arm926_config.Cache.line_bytes in
+  let hot = Array.init 4096 (fun i -> ((i * 97) land 255) * line) in
+  let stream = Array.init 4096 (fun i -> (1 lsl 20) + (i * line)) in
+  Test.make ~name:"core_cache_access"
+    (Staged.stage (fun () ->
+         let c = Cache.create Cache.arm926_config in
+         Array.iter (fun a -> ignore (Cache.access c a)) hot;
+         Array.iter (fun a -> ignore (Cache.access c a)) stream))
+
 let bench_hwmodel =
   Test.make ~name:"core_hwmodel_estimate"
     (Staged.stage (fun () -> Hwmodel.estimate Hwmodel.default_params))
@@ -353,6 +370,7 @@ let tests =
     bench_simulate_rvv;
     bench_simulate_rvv_fft;
     bench_translate_observe;
+    bench_cache_access;
     bench_hwmodel;
   ]
 
@@ -371,6 +389,7 @@ let smoke_tests =
     bench_simulate_rvv;
     bench_simulate_rvv_fft;
     bench_translate_observe;
+    bench_cache_access;
   ]
 
 let run_benchmarks ~quota tests =

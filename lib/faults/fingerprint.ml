@@ -31,13 +31,26 @@ let regs_hash_masked ~mask regs =
   Array.iteri (fun i v -> h := fnv_int !h (if mask.(i) then 0 else v)) regs;
   !h
 
+(* Arrays are read a chunk at a time into one scratch buffer (allocated
+   per call, so concurrent domains never share it) and the FNV fold runs
+   over the buffer; bytes and order are exactly those of a per-byte
+   [Memory.read_byte] walk. *)
+let chunk_bytes = 4096
+
 let mem_hash (image : Image.t) mem =
+  let buf = Bytes.create chunk_bytes in
   List.fold_left
     (fun h (_, addr, (d : Data.t)) ->
       let bytes = Esize.bytes d.Data.esize * Array.length d.Data.values in
       let h = ref h in
-      for i = 0 to bytes - 1 do
-        h := fnv_byte !h (Memory.read_byte mem (addr + i))
+      let pos = ref 0 in
+      while !pos < bytes do
+        let n = min chunk_bytes (bytes - !pos) in
+        Memory.read_block mem ~addr:(addr + !pos) ~len:n buf;
+        for i = 0 to n - 1 do
+          h := fnv_byte !h (Char.code (Bytes.unsafe_get buf i))
+        done;
+        pos := !pos + n
       done;
       !h)
     offset_basis image.Image.arrays

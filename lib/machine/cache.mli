@@ -3,12 +3,19 @@
     This is a timing/behaviour model only: it tracks which lines are
     resident, not their contents (data always comes from {!Memory}). The
     default geometry matches the ARM-926EJ-S used in the paper's
-    evaluation: 16 KiB, 64-way, 32-byte lines. *)
+    evaluation: 16 KiB, 64-way, 32-byte lines.
+
+    An access costs O(1) whatever the associativity (expected, with
+    growth amortized): a hash index finds a line's way and a per-set
+    recency ring yields the LRU victim, so no access scans the ways of
+    its set. Memory grows with the lines actually resident (doubling
+    from a few slots up to the capacity in lines), not with the
+    geometry, so creating a cache is cheap. *)
 
 type config = {
   size_bytes : int;  (** total capacity *)
   line_bytes : int;  (** line size; must be a power of two *)
-  assoc : int;  (** ways per set *)
+  assoc : int;  (** ways per set; must be positive *)
 }
 
 val arm926_config : config
@@ -17,6 +24,9 @@ val arm926_config : config
 type t
 
 val create : config -> t
+(** Raises [Invalid_argument] unless the line size is a power of two,
+    the associativity is positive, and the capacity divides into a
+    power-of-two number (at least one) of sets. *)
 
 val config : t -> config
 
@@ -37,6 +47,11 @@ val credit_hits : t -> int -> unit
     counter-equivalent to performing the accesses. *)
 
 val line_bytes : t -> int
+
+val set_of : t -> int -> int
+(** [set_of c addr] is the set the line containing [addr] maps to, in
+    [0 .. n_sets - 1] — the one placement rule the residency reasoning
+    of callers must share with {!access}. *)
 
 val lines_spanned : t -> addr:int -> bytes:int -> int
 (** Number of distinct cache lines covered by the byte range. *)

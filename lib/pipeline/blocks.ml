@@ -1320,10 +1320,7 @@ let form_super eng latch ~head ~cond ~key ~fall =
           match eng.icache with
           | None -> true
           | Some c ->
-              let cfg = Cache.config c in
-              let n_sets =
-                cfg.Cache.size_bytes / (cfg.Cache.line_bytes * cfg.Cache.assoc)
-              in
+              let assoc = (Cache.config c).Cache.assoc in
               let seen = Hashtbl.create 16 in
               let per_set = Hashtbl.create 16 in
               let ok = ref true in
@@ -1333,14 +1330,14 @@ let form_super eng latch ~head ~cond ~key ~fall =
                     (fun la ->
                       if la >= 0 && not (Hashtbl.mem seen la) then begin
                         Hashtbl.add seen la ();
-                        let set = la / cfg.Cache.line_bytes mod n_sets in
+                        let set = Cache.set_of c la in
                         let cnt =
                           match Hashtbl.find_opt per_set set with
                           | Some v -> v + 1
                           | None -> 1
                         in
                         Hashtbl.replace per_set set cnt;
-                        if cnt > cfg.Cache.assoc then ok := false
+                        if cnt > assoc then ok := false
                       end)
                     b.b_newline)
                 blks;

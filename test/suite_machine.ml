@@ -148,7 +148,15 @@ let test_cache_bad_config () =
   Alcotest.check_raises "line not pow2"
     (Invalid_argument "Cache.create: line size must be a power of two")
     (fun () ->
-      ignore (Cache.create { Cache.size_bytes = 96; line_bytes = 24; assoc = 2 }))
+      ignore (Cache.create { Cache.size_bytes = 96; line_bytes = 24; assoc = 2 }));
+  List.iter
+    (fun assoc ->
+      Alcotest.check_raises
+        (Printf.sprintf "assoc %d" assoc)
+        (Invalid_argument "Cache.create: associativity must be positive")
+        (fun () ->
+          ignore (Cache.create { Cache.size_bytes = 1024; line_bytes = 32; assoc })))
+    [ 0; -1 ]
 
 (* --- Branch predictor --- *)
 
