@@ -50,9 +50,6 @@ val arm : t -> armed
 (** Compile a fault into CPU hooks closing over their own trigger
     counters. Arm a fresh value per run — [armed] is single-use. *)
 
-val no_hooks : Cpu.fault_hooks
-(** Hooks that never fire (a convenient base for partial overrides). *)
-
 type space = {
   sp_feeds : int;  (** translator feed events across the whole run *)
   sp_calls : int;  (** region calls across the whole run *)

@@ -19,13 +19,6 @@ let fnv_int h v =
 
 let regs_hash regs = Array.fold_left fnv_int offset_basis regs
 
-let lr_index = Reg.index Reg.lr
-
-let regs_hash_no_lr regs =
-  let h = ref offset_basis in
-  Array.iteri (fun i v -> h := fnv_int !h (if i = lr_index then 0 else v)) regs;
-  !h
-
 let regs_hash_masked ~mask regs =
   let h = ref offset_basis in
   Array.iteri (fun i v -> h := fnv_int !h (if mask.(i) then 0 else v)) regs;

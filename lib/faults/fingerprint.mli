@@ -16,13 +16,6 @@ val fnv_int : int -> int -> int
 val regs_hash : int array -> int
 (** Hash of the full scalar register file. *)
 
-val regs_hash_no_lr : int array -> int
-(** {!regs_hash} with the link register's slot hashed as zero. A region
-    call served from the microcode cache substitutes the whole outlined
-    function (the branch-and-link never architecturally retires), so
-    [lr] legitimately differs between a scalar and a translated run of
-    the same binary; every other register must match. *)
-
 val regs_hash_masked : mask:bool array -> int array -> int
 (** {!regs_hash} with every slot where [mask] is [true] hashed as zero.
     Used by the oracle to exclude dead region scratch (see

@@ -206,12 +206,3 @@ let fails_like ?fault_seed sig_ p =
     (fun d -> List.mem (d.d_label, kind_tag d.d_kind) sig_)
     (run_case ?fault_seed p).o_divergences
 
-let pp_outcome ppf o =
-  Format.fprintf ppf "@[<v>runs %d, installs %d@ " o.o_runs o.o_installs;
-  List.iter
-    (fun (cls, n) -> Format.fprintf ppf "abort %-24s %d@ " cls n)
-    o.o_aborts;
-  List.iter
-    (fun d -> Format.fprintf ppf "DIVERGED %-24s %s@ " d.d_label (kind_to_string d.d_kind))
-    o.o_divergences;
-  Format.fprintf ppf "@]"

@@ -60,5 +60,3 @@ val fails_like : ?fault_seed:int -> (string * string) list -> Vloop.program -> b
     {e new} bug classes (e.g. a mutilated program crashing in
     generation), so minimization cannot wander off the original bug. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-(** One line per divergence plus the abort histogram. *)

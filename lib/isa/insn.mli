@@ -69,8 +69,6 @@ val is_branch : ('a, 'b) t -> bool
 val equal : ('s -> 's -> bool) -> ('l -> 'l -> bool) -> ('s, 'l) t -> ('s, 'l) t -> bool
 val equal_exec : exec -> exec -> bool
 
-val pp_operand : Format.formatter -> operand -> unit
-
 val pp :
   pp_sym:(Format.formatter -> 'sym -> unit) ->
   pp_lab:(Format.formatter -> 'lab -> unit) ->

@@ -9,9 +9,6 @@ type t = int
 val of_int : int -> t
 (** Wrap an arbitrary integer into the 32-bit signed range. *)
 
-val to_unsigned : t -> int
-(** The same bit pattern read as an unsigned 32-bit value. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val rsb : t -> t -> t

@@ -84,8 +84,6 @@ let wrap t (config : Cpu.config) =
   in
   { config with Cpu.on_trace = Some hook }
 
-let attach = wrap
-
 let translation_latency t = t.latency
 let ring t = t.ring
 let events t = t.n_events

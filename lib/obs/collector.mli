@@ -15,20 +15,6 @@
 
 open Liquid_pipeline
 
-(** Ring record kinds (the [kind] field of {!Ring.push}). *)
-val kind_insn : int
-(** [a] = pc *)
-
-val kind_uop : int
-(** [a] = region entry, [b] = uop index *)
-
-val kind_region : int
-(** [a] = event code: 0 scalar call, 1 ucode call, 2 translated,
-    3 aborted; [b] = width when translated *)
-
-val kind_translation : int
-(** [a] = region entry, [b] = latency cycles, [c] = uop count *)
-
 type t
 
 val create : ?ring_capacity:int -> ?jsonl:out_channel -> unit -> t
@@ -41,9 +27,6 @@ val on_trace : t -> Cpu.trace_event -> unit
 val wrap : t -> Cpu.config -> Cpu.config
 (** Install {!on_trace} into a config, chaining after any hook already
     present (the existing consumer still sees every event). *)
-
-val attach : t -> Cpu.config -> Cpu.config
-(** Alias of {!wrap}. *)
 
 val translation_latency : t -> Hist.t
 val ring : t -> Ring.t

@@ -70,9 +70,6 @@ type t = {
 val of_run :
   ?label:string -> ?variant:string -> ?collector:Collector.t -> Cpu.run -> t
 
-val invariant_count : int
-(** Number of named conservation invariants {!violations} checks. *)
-
 val violations : t -> string list
 (** Empty iff every conservation invariant holds:
     - [insn-conservation]: retired scalar + vector instructions equal

@@ -51,6 +51,5 @@ val classify_abort : Liquid_translate.Abort.t -> [ `Transient | `Permanent ]
     exactly one classification table in the tree. *)
 
 val fault_name : fault -> string
-val fault_to_string : fault -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

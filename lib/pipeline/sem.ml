@@ -75,8 +75,6 @@ type access = { addr : int; bytes : int; write : bool }
 
 type effect = { value : int option; accesses : access list; taken : bool option }
 
-let no_effect = { value = None; accesses = []; taken = None }
-
 let[@inline] clear_effect ctx =
   ctx.e_value <- no_value;
   ctx.e_taken <- -1;
@@ -171,32 +169,14 @@ let step_scalar ctx ~pc insn =
   let outcome = exec_scalar ctx ~pc insn in
   (outcome, last_effect ctx)
 
-(* Pre-resolved single-instruction kernels for the translation-block
-   engine ({!Liquid_pipeline.Blocks}): the block compiler resolves
-   register names to indices, folds immediates (including [Word]
-   normalization and index shifts) once, and replays each retired
-   instruction through one of these. Each kernel is the corresponding
-   [exec_scalar] arm minus decode and scratch-effect recording. The
+(* Pre-resolved load/store kernels for the translation-block engine
+   ({!Liquid_pipeline.Blocks}): the block compiler resolves register
+   names to indices and folds the address computation once. Each kernel
+   is the corresponding [exec_scalar] arm minus decode and
+   scratch-effect recording. The
    scratch value is only ever consumed by a live translator session;
    when the engine runs under one it reads the destination register
    back instead. *)
-
-let[@inline] kernel_mov_imm ctx ~dst v = ctx.regs.(dst) <- v
-
-let[@inline] kernel_mov_reg ctx ~dst ~src =
-  ctx.regs.(dst) <- Word.of_int ctx.regs.(src)
-
-let[@inline] kernel_dp_imm ctx ~op ~dst ~src1 imm =
-  ctx.regs.(dst) <- Opcode.eval op ctx.regs.(src1) imm
-
-let[@inline] kernel_dp_reg ctx ~op ~dst ~src1 ~src2 =
-  ctx.regs.(dst) <- Opcode.eval op ctx.regs.(src1) ctx.regs.(src2)
-
-let[@inline] kernel_cmp_imm ctx ~src1 imm =
-  ctx.flags <- Flags.of_compare ctx.regs.(src1) imm
-
-let[@inline] kernel_cmp_reg ctx ~src1 ~src2 =
-  ctx.flags <- Flags.of_compare ctx.regs.(src1) ctx.regs.(src2)
 
 let[@inline] kernel_ld ctx ~addr ~bytes ~signed ~dst =
   ctx.regs.(dst) <- Memory.read ctx.mem ~addr ~bytes ~signed

@@ -108,8 +108,6 @@ let array_at t addr =
     t.arrays
   |> Option.map (fun (n, _, d) -> (n, d))
 
-let code_bytes t = 4 * Array.length t.code
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>; image %s (entry @%d)@ " t.name t.entry;
   Array.iteri

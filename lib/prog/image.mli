@@ -48,5 +48,4 @@ val array_addr : t -> string -> int
 val array_at : t -> int -> (string * Data.t) option
 (** The array whose storage contains the given address, if any. *)
 
-val code_bytes : t -> int
 val pp : Format.formatter -> t -> unit

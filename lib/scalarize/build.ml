@@ -12,7 +12,6 @@ let movr dst src = item (Insn.Mov { cond = Cond.Al; dst; src = Reg src })
 let movc cond dst imm = item (Insn.Mov { cond; dst; src = Imm imm })
 let dp op dst src1 src2 = item (Insn.Dp { cond = Cond.Al; op; dst; src1; src2 })
 let addi dst src1 k = dp Opcode.Add dst src1 (Imm k)
-let subi dst src1 k = dp Opcode.Sub dst src1 (Imm k)
 
 let ld ?(esize = Esize.Word) ?(signed = true) dst sym index =
   item
@@ -55,11 +54,9 @@ let vsub d a b = vdp Opcode.Sub d a b
 let vmul d a b = vdp Opcode.Mul d a b
 let vand d a b = vdp Opcode.And d a b
 let vorr d a b = vdp Opcode.Orr d a b
-let veor d a b = vdp Opcode.Eor d a b
 let vmin d a b = vdp Opcode.Smin d a b
 let vmax d a b = vdp Opcode.Smax d a b
 let vshr d a b = vdp Opcode.Asr d a b
-let vshl d a b = vdp Opcode.Lsl d a b
 
 let vqadd ?(esize = Esize.Byte) ?(signed = false) dst src1 src2 =
   Vinsn.Vsat { op = `Add; esize; signed; dst; src1; src2 }

@@ -34,9 +34,6 @@ val dp : Opcode.t -> Reg.t -> Reg.t -> Insn.operand -> Program.item
 val addi : Reg.t -> Reg.t -> int -> Program.item
 (** [add rd rs #imm]. *)
 
-val subi : Reg.t -> Reg.t -> int -> Program.item
-(** [sub rd rs #imm]. *)
-
 val ld : ?esize:Esize.t -> ?signed:bool -> Reg.t -> string -> Insn.operand -> Program.item
 (** Element-indexed load: the index operand is scaled by the element
     size automatically. *)
@@ -102,9 +99,6 @@ val vand : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
 val vorr : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
 (** Lane-wise bitwise or. *)
 
-val veor : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
-(** Lane-wise bitwise exclusive-or. *)
-
 val vmin : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
 (** Lane-wise signed minimum. *)
 
@@ -113,9 +107,6 @@ val vmax : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
 
 val vshr : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
 (** Lane-wise arithmetic shift right. *)
-
-val vshl : Vreg.t -> Vreg.t -> Vinsn.vsrc -> Vinsn.asm
-(** Lane-wise shift left. *)
 
 val vqadd : ?esize:Esize.t -> ?signed:bool -> Vreg.t -> Vreg.t -> Vreg.t -> Vinsn.asm
 (** Saturating lane-wise addition at the given element size (the SIMD

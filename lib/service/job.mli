@@ -46,8 +46,6 @@ val fingerprint : spec -> int
 
 type status = Ok_ | Degraded | Shed | Failed
 
-val status_name : status -> string
-
 (** One reply line. Counter fields are zero when no run happened
     (shed / failed before execution). *)
 type reply = {

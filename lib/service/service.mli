@@ -1,7 +1,7 @@
 (** The persistent fault-tolerant sweep server (DESIGN.md §11).
 
     Jobs — workload × variant × supervision knobs ({!Job.spec}) — arrive
-    over a JSONL request/reply protocol ({!handle_line}, {!serve}) or
+    over a JSONL request/reply protocol ({!serve}) or
     in-process ({!submit} / {!sync}, {!run_script}). Submitted jobs
     queue until a [sync]; the drain dispatches them across the
     {!Liquid_harness.Runner.run_many_result} domain pool, each job
@@ -59,7 +59,6 @@ val create : ?config:config -> unit -> t
 
 val metrics : t -> Metrics.t
 val breaker : t -> Breaker.t
-val queue_depth : t -> int
 
 val submit : t -> Job.spec -> Liquid_obs.Json.t list
 (** Accept one job (counted [submitted]; a [""] id is replaced with a
@@ -78,11 +77,6 @@ val metrics_json : t -> Liquid_obs.Json.t
     document fails its own schema validation — the emitter checks
     itself, like {!Liquid_obs.Bench_report.write}. *)
 
-val handle_line : t -> string -> Liquid_obs.Json.t list * [ `Continue | `Quit ]
-(** Process one request line: a job submits (emitting any shed reply),
-    [sync]/[metrics] emit their documents, [quit] drains and stops.
-    A malformed line yields one [{"error": ...}] object and counts a
-    protocol error. *)
 
 val run_script : ?config:config -> string -> string
 (** In-process entry point: feed a whole JSONL script (one request per
