@@ -26,7 +26,7 @@ type t = {
   s_superblock_bailouts : int;
   s_pred_fast : int;
   s_pred_masked : int;
-  s_vla_preds : int;
+  s_governed_execs : int;
   s_permutes_seen : int;
   s_permutes_recovered : int;
   s_permutes_aborted : int;
@@ -97,7 +97,7 @@ let of_run ?(label = "run") ?(variant = "unknown") ?collector (run : Cpu.run) =
     s_superblock_bailouts = run.Cpu.superblock_bailouts;
     s_pred_fast = run.Cpu.pred_fast_iters;
     s_pred_masked = run.Cpu.pred_masked_iters;
-    s_vla_preds = run.Cpu.vla_pred_execs;
+    s_governed_execs = run.Cpu.governed_execs;
     s_permutes_seen = run.Cpu.permutes_seen;
     s_permutes_recovered = run.Cpu.permutes_recovered;
     s_permutes_aborted = run.Cpu.permutes_aborted;
@@ -209,9 +209,9 @@ let violations t =
       Printf.sprintf "gap histogram holds %d samples, expected %d"
         (Hist.count t.s_gap_hist) gap_pairs);
   check "pred-conservation"
-    (t.s_pred_fast + t.s_pred_masked = t.s_vla_preds) (fun () ->
+    (t.s_pred_fast + t.s_pred_masked = t.s_governed_execs) (fun () ->
       Printf.sprintf "fast %d + masked %d <> dispatched %d" t.s_pred_fast
-        t.s_pred_masked t.s_vla_preds);
+        t.s_pred_masked t.s_governed_execs);
   check "perm-conservation"
     (t.s_permutes_recovered + t.s_permutes_aborted = t.s_permutes_seen)
     (fun () ->
@@ -303,7 +303,7 @@ let to_json t =
           [
             ("fast_iters", Json.Int t.s_pred_fast);
             ("masked_iters", Json.Int t.s_pred_masked);
-            ("dispatched", Json.Int t.s_vla_preds);
+            ("dispatched", Json.Int t.s_governed_execs);
           ] );
       ( "permutation",
         Json.Obj
@@ -363,7 +363,7 @@ let to_csv t =
   int_row "superblocks.bailouts" t.s_superblock_bailouts;
   int_row "predication.fast_iters" t.s_pred_fast;
   int_row "predication.masked_iters" t.s_pred_masked;
-  int_row "predication.dispatched" t.s_vla_preds;
+  int_row "predication.dispatched" t.s_governed_execs;
   int_row "permutation.seen" t.s_permutes_seen;
   int_row "permutation.recovered" t.s_permutes_recovered;
   int_row "permutation.aborted" t.s_permutes_aborted;

@@ -44,8 +44,8 @@ type t = {
       (** predicated vector executions on the all-true fast path *)
   s_pred_masked : int;
       (** predicated vector executions through the masked path *)
-  s_vla_preds : int;
-      (** predicated vector uops dispatched — the independent tally the
+  s_governed_execs : int;
+      (** count-governed uops dispatched — the independent tally the
           fast/masked split must account for *)
   s_permutes_seen : int;
       (** permutation slots the translator resolved across all sessions *)

@@ -119,12 +119,9 @@ type suop =
       shift : int;
     }
   | Svec of Vinsn.exec
-  | Svla of Vla.exec
-      (** predicated / length-agnostic uop (microcode replay only: image
-          code never contains them) *)
-  | Srvv of Rvv.exec
-      (** [vl]-governed stripmined uop (microcode replay only, like
-          [Svla]) *)
+  | Sgov of Governed.t
+      (** governed uop (microcode replay only: image code never
+          contains them) *)
 
 type term =
   | T_fall of int  (** fallthrough into a step-handled pc or next block *)
@@ -285,7 +282,7 @@ type t = {
   mutable supers_built : int;
   mutable super_iters : int;
   mutable super_bailouts : int;
-  mutable vla_preds : int;
+  mutable governed_execs : int;
   mutable session_insns : int;
 }
 
@@ -328,7 +325,7 @@ let create ~image ~ctx ~stats ~icache ~dcache ~bpred ~mem_latency ~mul_extra
     supers_built = 0;
     super_iters = 0;
     super_bailouts = 0;
-    vla_preds = 0;
+    governed_execs = 0;
     session_insns = 0;
   }
 
@@ -340,7 +337,7 @@ let execs eng = eng.block_execs
 let supers_built eng = eng.supers_built
 let super_iters eng = eng.super_iters
 let super_bailouts eng = eng.super_bailouts
-let vla_preds eng = eng.vla_preds
+let governed_execs eng = eng.governed_execs
 let session_insns eng = eng.session_insns
 
 (* --- charge helpers (shared by thunks and repair) --- *)
@@ -467,28 +464,47 @@ let value_source = function
   | Sld { dst; _ } ->
       dst
   | Spred _ -> vdst_scratch
-  | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Svla _ | Srvv _ -> vdst_none
+  | Scmp_i _ | Scmp_r _ | Sst _ | Svec _ | Sgov _ -> vdst_none
 
 (* Everything [step] charges before exec, statically known per
    instruction. *)
 let scalar_charge eng (insn : Insn.exec) =
   match insn with Insn.Dp { op = Opcode.Mul; _ } -> 1 + eng.mul_extra | _ -> 1
 
-let vector_charge eng ~lanes (v : Vinsn.exec) =
-  let bus = eng.vec_bus_bytes in
+(* One bus beat per lane: gathers do not coalesce. The ceiling division
+   is per lane — an element never spans bus beats unless it is wider
+   than the bus. *)
+let gather_beats ~bus ~lanes esize = lanes * ((Esize.bytes esize + bus - 1) / bus)
+
+(* A vector memory access moves [lanes * element] bytes over the memory
+   bus; beyond the first bus beat, each extra beat costs a cycle. This
+   is what makes wide vectors saturate (the paper's diminishing returns
+   from 8 to 16 lanes on memory-bound loops). A strided access touches
+   [stride] times the data of a unit access. *)
+let vector_charge ~mul_extra ~bus ~lanes (v : Vinsn.exec) =
   let extra esize =
     let bytes = lanes * Esize.bytes esize in
     max 0 (((bytes + bus - 1) / bus) - 1)
   in
   match v with
-  | Vinsn.Vdp { op = Opcode.Mul; _ } -> 1 + eng.mul_extra
+  | Vinsn.Vdp { op = Opcode.Mul; _ } -> 1 + mul_extra
   | Vinsn.Vred _ -> 2
   | Vinsn.Vld { esize; _ } | Vinsn.Vst { esize; _ } -> 1 + extra esize
   | Vinsn.Vlds { esize; stride; _ } | Vinsn.Vsts { esize; stride; _ } ->
       1 + (stride * (extra esize + 1))
-  | Vinsn.Vgather { esize; _ } ->
-      1 + (lanes * ((Esize.bytes esize + bus - 1) / bus))
+  | Vinsn.Vgather { esize; _ } -> 1 + gather_beats ~bus ~lanes esize
   | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ -> 1
+
+(* Count management is loop-control overhead; a governed datapath op
+   costs what its ungoverned form costs at full width — a partial count
+   masks lanes, it does not shorten the machine's bus or issue timing. A
+   recovered permutation has gather-style bus timing. *)
+let governed_charge ~mul_extra ~bus ~lanes (g : Governed.t) =
+  match g with
+  | Governed.Op { v; _ } -> vector_charge ~mul_extra ~bus ~lanes v
+  | Governed.Tbl { esize; _ } | Governed.Tblst { esize; _ } ->
+      1 + gather_beats ~bus ~lanes esize
+  | Governed.Tblidx _ | Governed.Set _ | Governed.Step _ -> 1
 
 (* --- closure compilation --- *)
 
@@ -623,52 +639,27 @@ let compile_thunk eng ~lanes u =
         f ();
         charge_scratch eng
       else f
-  | Svla p -> (
-      let f = Sem.compile_vla ctx ~lanes p in
-      match p with
-      | Vla.Pred { v; _ } ->
-          (* count predicated executions at the dispatch layer, so the
-             obs conservation invariant (fast + masked = dispatched) has
-             an independent left- and right-hand side. The masked path
-             of an access op records accesses too, so the scratch charge
-             follows the op shape, not the predicate. *)
-          if vinsn_accesses v then fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-          else fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ()
-      | Vla.Tbl _ | Vla.Tblst _ ->
-          (* recovered permutations are predicated memory ops: dispatch
-             counts here, and the per-lane accesses the closure recorded
-             go through the scratch charge *)
-          fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-      | Vla.Tblidx _ | Vla.Whilelt _ | Vla.Incvl _ -> f)
-  | Srvv r -> (
-      let f = Sem.compile_rvv ctx ~lanes r in
-      match r with
-      | Rvv.Vl { v } ->
-          (* same dispatch-layer counting as [Svla]: the grant-governed
-             body op lands in [vla_preds] so the obs conservation
-             invariant (fast + masked = dispatched) spans both remainder
-             mechanisms *)
-          if vinsn_accesses v then fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-          else fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ()
-      | Rvv.Tbl _ | Rvv.Tblst _ ->
-          fun () ->
-            eng.vla_preds <- eng.vla_preds + 1;
-            f ();
-            charge_scratch eng
-      | Rvv.Tblidx _ | Rvv.Vsetvl _ | Rvv.Addvl _ -> f)
+  | Sgov g ->
+      let f = Sem.compile_governed ctx ~lanes g in
+      (* count governed executions at the dispatch layer, so the obs
+         conservation invariant (fast + masked = dispatched) has an
+         independent left- and right-hand side. The masked path of an
+         access op records accesses too, so the scratch charge follows
+         the op shape, not the count. *)
+      let accesses =
+        match g with
+        | Governed.Op { v; _ } -> vinsn_accesses v
+        | Governed.Tbl _ | Governed.Tblst _ -> true
+        | Governed.Tblidx _ | Governed.Set _ | Governed.Step _ -> false
+      in
+      if not (Governed.reads_count g) then f
+      else if accesses then fun () ->
+        eng.governed_execs <- eng.governed_execs + 1;
+        f ();
+        charge_scratch eng
+      else fun () ->
+        eng.governed_execs <- eng.governed_execs + 1;
+        f ()
 
 (* Bake the slot's icache line probe in front of its thunk, so the
    replay loop is a bare closure call per micro-op. *)
@@ -754,7 +745,10 @@ let compile_block eng pc0 =
               end
               else begin
                 uops := Svec v :: !uops;
-                charges := vector_charge eng ~lanes:eng.lanes v :: !charges;
+                charges :=
+                  vector_charge ~mul_extra:eng.mul_extra
+                    ~bus:eng.vec_bus_bytes ~lanes:eng.lanes v
+                  :: !charges;
                 incr nu;
                 incr pc
               end
@@ -849,7 +843,7 @@ let[@inline] entry_stall eng pending b =
       | Some _ | None -> ())
   | None -> ()
 
-(* A micro-op raised mid-block (only [Svec]/[Svla]/[Srvv] can: Sigill on
+(* A micro-op raised mid-block (only [Svec]/[Sgov] can: Sigill on
    an unsupported permutation or mismatched constant width). Re-apply the
    per-step accounting [step] would have accumulated through the
    faulting slot, so the escaping diagnostics (pc, cycle, retired)
@@ -1227,7 +1221,7 @@ let form_super eng latch ~head ~cond ~key ~fall =
          plain counters; the handler reads the index back instead of
          the loop maintaining a position ref per thunk call. *)
       let can_raise = function
-        | Spred _ | Svec _ | Svla _ | Srvv _ -> true
+        | Spred _ | Svec _ | Sgov _ -> true
         | Smov_i _ | Smov_r _ | Sdp_i _ | Sdp_r _ | Scmp_i _ | Scmp_r _
         | Sld _ | Sst _ ->
             false
@@ -1540,36 +1534,17 @@ let compile_useg eng uc j =
         | None -> term := Some `Bail)
     | Ucode.UV v ->
         acc := Svec v :: !acc;
-        charges := vector_charge eng ~lanes:width v :: !charges;
-        incr nu;
-        incr i
-    | Ucode.UP p ->
-        acc := Svla p :: !acc;
         charges :=
-          (match p with
-          | Vla.Pred { v; _ } -> vector_charge eng ~lanes:width v
-          | Vla.Tbl { esize; _ } | Vla.Tblst { esize; _ } ->
-              (* gather-style bus timing, matching the stepping
-                 interpreter's charge for recovered permutations *)
-              1
-              + width
-                * ((Esize.bytes esize + eng.vec_bus_bytes - 1)
-                  / eng.vec_bus_bytes)
-          | Vla.Tblidx _ | Vla.Whilelt _ | Vla.Incvl _ -> 1)
+          vector_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
+            ~lanes:width v
           :: !charges;
         incr nu;
         incr i
-    | Ucode.UR r ->
-        acc := Srvv r :: !acc;
+    | Ucode.UG g ->
+        acc := Sgov g :: !acc;
         charges :=
-          (match r with
-          | Rvv.Vl { v } -> vector_charge eng ~lanes:width v
-          | Rvv.Tbl { esize; _ } | Rvv.Tblst { esize; _ } ->
-              1
-              + width
-                * ((Esize.bytes esize + eng.vec_bus_bytes - 1)
-                  / eng.vec_bus_bytes)
-          | Rvv.Tblidx _ | Rvv.Vsetvl _ | Rvv.Addvl _ -> 1)
+          governed_charge ~mul_extra:eng.mul_extra ~bus:eng.vec_bus_bytes
+            ~lanes:width g
           :: !charges;
         incr nu;
         incr i
@@ -1591,8 +1566,7 @@ let compile_useg eng uc j =
           (fun a u ->
             match u with
             | Svec _ -> a + 1
-            | Svla p when Vla.is_vector p -> a + 1
-            | Srvv r when Rvv.is_vector r -> a + 1
+            | Sgov g when Governed.is_vector g -> a + 1
             | _ -> a)
           0 us_uops
       in
@@ -1636,8 +1610,7 @@ let repair_useg eng seg k =
   for j = 0 to k do
     (match seg.us_uops.(j) with
     | Svec _ -> incr vectors
-    | Svla p when Vla.is_vector p -> incr vectors
-    | Srvv r when Rvv.is_vector r -> incr vectors
+    | Sgov g when Governed.is_vector g -> incr vectors
     | _ -> incr scalars);
     cyc := !cyc + seg.us_charge.(j)
   done;

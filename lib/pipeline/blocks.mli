@@ -138,7 +138,24 @@ val session_insns : t -> int
 (** Instructions this engine fed to translator sessions
     ({!try_exec_observed}). *)
 
-val vla_preds : t -> int
-(** Predicated vector micro-ops ({!Liquid_visa.Vla.Pred}) dispatched by
-    this engine — the engine's share of the obs conservation invariant
-    [pred_fast + pred_masked = dispatched predicated ops]. *)
+val governed_execs : t -> int
+(** Count-governed micro-ops ({!Liquid_visa.Governed.reads_count})
+    dispatched by this engine — the engine's share of the obs
+    conservation invariant [pred_fast + pred_masked = dispatched
+    governed ops]. *)
+
+(** {1 Static charges}
+
+    The cycles an instruction costs before it executes, shared by the
+    block engine and {!Cpu}'s stepping interpreter so both charge
+    identically. *)
+
+val vector_charge : mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Vinsn.exec -> int
+(** Issue cycle, multiply and reduction extras, and the bus beats of a
+    memory access at [lanes] lanes over a [bus]-byte vector bus. *)
+
+val governed_charge :
+  mul_extra:int -> bus:int -> lanes:int -> Liquid_visa.Governed.t -> int
+(** {!vector_charge} of a governed op's full-width form, gather-style
+    beats ([1 + lanes * ceil(esize / bus)]) for a table lookup, and one
+    cycle for count management. *)

@@ -129,7 +129,7 @@ type run = {
   superblock_bailouts : int;
   pred_fast_iters : int;
   pred_masked_iters : int;
-  vla_pred_execs : int;
+  governed_execs : int;
   permutes_seen : int;
   permutes_recovered : int;
   permutes_aborted : int;
@@ -184,8 +184,8 @@ type state = {
          per-step division *)
   mutable retired : int;
   mutable halted : bool;
-  mutable vla_preds : int;
-      (* predicated vector uops dispatched by the stepping interpreter;
+  mutable governed_execs : int;
+      (* count-governed uops dispatched by the stepping interpreter;
          the engine keeps its own tally — together they form the
          right-hand side of the obs predication conservation invariant *)
   mutable perm_seen : int;
@@ -261,29 +261,12 @@ let charge_accesses st =
       ~write:ctx.Sem.acc_write.(i)
   done
 
-(* A vector memory access moves [lanes * element] bytes over the memory
-   bus; beyond the first bus beat, each extra beat costs a cycle. This is
-   what makes wide vectors saturate (the paper's diminishing returns from
-   8 to 16 lanes on memory-bound loops). *)
-let charge_vector_mem st (v : Vinsn.exec) =
-  let extra esize =
-    let bytes = st.ctx.Sem.lanes * Esize.bytes esize in
-    max 0 ((bytes + st.cfg.vec_bus_bytes - 1) / st.cfg.vec_bus_bytes - 1)
-  in
-  match v with
-  | Vinsn.Vld { esize; _ } | Vinsn.Vst { esize; _ } -> charge st (extra esize)
-  | Vinsn.Vlds { esize; stride; _ } | Vinsn.Vsts { esize; stride; _ } ->
-      (* A strided access touches [stride] times the data of a unit
-         access. *)
-      charge st (stride * (extra esize + 1))
-  | Vinsn.Vgather { esize; _ } ->
-      (* One bus beat per lane: gathers do not coalesce. The ceiling
-         division is per lane — an element never spans bus beats unless
-         it is wider than the bus. *)
-      charge st
-        (st.ctx.Sem.lanes
-        * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1) / st.cfg.vec_bus_bytes))
-  | Vinsn.Vdp _ | Vinsn.Vsat _ | Vinsn.Vperm _ | Vinsn.Vred _ -> ()
+(* The static charge of a vector instruction at the active width, shared
+   with the block engine. *)
+let charge_vector st (v : Vinsn.exec) =
+  charge st
+    (Blocks.vector_charge ~mul_extra:st.cfg.mul_extra ~bus:st.cfg.vec_bus_bytes
+       ~lanes:st.ctx.Sem.lanes v)
 
 let diag st fault =
   Diag.Error
@@ -460,86 +443,21 @@ let run_ucode st ~entry ~stamp (u : Ucode.t) =
     | Ucode.UV v ->
         fuel_check st;
         st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-        charge st 1;
-        (match v with
-        | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-        | Vinsn.Vred _ -> charge st 1
-        | _ -> ());
-        charge_vector_mem st v;
+        charge_vector st v;
         Sem.exec_vector st.ctx v;
         charge_accesses st;
         incr ui
-    | Ucode.UP p ->
+    | Ucode.UG g ->
         fuel_check st;
-        (* Predicate/counter management is loop-control overhead and
-           accounts as scalar work; a predicated datapath op is vector
-           work with the same static (full-width) charges as its
-           unpredicated form — predication masks lanes, it does not
-           shorten the machine's bus or issue timing. *)
-        (match p with
-        | Vla.Pred { v; _ } ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            (match v with
-            | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-            | Vinsn.Vred _ -> charge st 1
-            | _ -> ());
-            charge_vector_mem st v
-        | Vla.Tbl { esize; _ } | Vla.Tblst { esize; _ } ->
-            (* A recovered permutation: a predicated dispatch with
-               gather-style bus timing — one beat per lane, no
-               coalescing, elements never span beats unless wider than
-               the bus. *)
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            charge st
-              (st.ctx.Sem.lanes
-              * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1)
-                / st.cfg.vec_bus_bytes))
-        | Vla.Tblidx _ ->
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1
-        | Vla.Whilelt _ | Vla.Incvl _ ->
-            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-            charge st 1);
-        Sem.exec_vla st.ctx p;
-        charge_accesses st;
-        incr ui
-    | Ucode.UR r ->
-        fuel_check st;
-        (* The RVV grant plays the VLA predicate's role, so the charge
-           discipline is identical: [vsetvl]/counter management is
-           loop-control overhead accounted as scalar work; a
-           grant-governed datapath op is vector work with full-width
-           static charges — a shortened grant masks lanes, it does not
-           shorten the machine's bus or issue timing. *)
-        (match r with
-        | Rvv.Vl { v } ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            (match v with
-            | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-            | Vinsn.Vred _ -> charge st 1
-            | _ -> ());
-            charge_vector_mem st v
-        | Rvv.Tbl { esize; _ } | Rvv.Tblst { esize; _ } ->
-            st.vla_preds <- st.vla_preds + 1;
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1;
-            charge st
-              (st.ctx.Sem.lanes
-              * ((Esize.bytes esize + st.cfg.vec_bus_bytes - 1)
-                / st.cfg.vec_bus_bytes))
-        | Rvv.Tblidx _ ->
-            st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-            charge st 1
-        | Rvv.Vsetvl _ | Rvv.Addvl _ ->
-            st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
-            charge st 1);
-        Sem.exec_rvv st.ctx r;
+        if Governed.reads_count g then
+          st.governed_execs <- st.governed_execs + 1;
+        if Governed.is_vector g then
+          st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1
+        else st.stats.Stats.scalar_insns <- st.stats.Stats.scalar_insns + 1;
+        charge st
+          (Blocks.governed_charge ~mul_extra:st.cfg.mul_extra
+             ~bus:st.cfg.vec_bus_bytes ~lanes:st.ctx.Sem.lanes g);
+        Sem.exec_governed st.ctx g;
         charge_accesses st;
         incr ui
     | Ucode.UB { cond; target } ->
@@ -800,12 +718,7 @@ let step st =
           fuel_check st;
           trace_insn st pc (Minsn.V v);
           st.stats.Stats.vector_insns <- st.stats.Stats.vector_insns + 1;
-          charge st 1;
-          (match v with
-          | Vinsn.Vdp { op = Opcode.Mul; _ } -> charge st st.cfg.mul_extra
-          | Vinsn.Vred _ -> charge st 1
-          | _ -> ());
-          charge_vector_mem st v;
+          charge_vector st v;
           Sem.exec_vector st.ctx v;
           charge_accesses st;
           st.pc <- pc + 1)
@@ -874,7 +787,7 @@ let init_state config image =
         | None -> max_int);
       retired = 0;
       halted = false;
-      vla_preds = 0;
+      governed_execs = 0;
       perm_seen = 0;
       perm_recovered = 0;
       perm_aborted = 0;
@@ -942,9 +855,9 @@ let collect st mem ctx =
       (match st.eng with Some e -> Blocks.super_bailouts e | None -> 0);
     pred_fast_iters = ctx.Sem.n_pred_fast;
     pred_masked_iters = ctx.Sem.n_pred_masked;
-    vla_pred_execs =
-      (st.vla_preds
-      + match st.eng with Some e -> Blocks.vla_preds e | None -> 0);
+    governed_execs =
+      (st.governed_execs
+      + match st.eng with Some e -> Blocks.governed_execs e | None -> 0);
     permutes_seen = st.perm_seen;
     permutes_recovered = st.perm_recovered;
     permutes_aborted = st.perm_aborted;

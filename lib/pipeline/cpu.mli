@@ -183,26 +183,26 @@ type run = {
       (** superblock exits to the block path: guard failures (the loop's
           normal exit) plus fuel-pressure bail-outs *)
   pred_fast_iters : int;
-      (** predicated vector executions that took the all-true fast path
-          (full predicate, unmasked fixed-width semantics) *)
+      (** governed vector executions that took the all-true fast path
+          (full count, unmasked fixed-width semantics) *)
   pred_masked_iters : int;
-      (** predicated vector executions that paid the masked path *)
-  vla_pred_execs : int;
-      (** predicated vector uops dispatched (stepping interpreter plus
-          block engine); conservation:
-          [pred_fast_iters + pred_masked_iters = vla_pred_execs] *)
+      (** governed vector executions that paid the masked path *)
+  governed_execs : int;
+      (** count-governed uops dispatched under either governor
+          (stepping interpreter plus block engine); conservation:
+          [pred_fast_iters + pred_masked_iters = governed_execs] *)
   permutes_seen : int;
       (** permutation placeholders encountered at translation finish,
           summed over every finished session (cached and oracle) *)
   permutes_recovered : int;
-      (** placeholders rewritten to a native permute or a VLA table
-          lookup; conservation:
+      (** placeholders rewritten to a native permute or a governed
+          table lookup; conservation:
           [permutes_recovered + permutes_aborted = permutes_seen] *)
   permutes_aborted : int;
       (** placeholders whose resolution aborted the session *)
   tbl_index_builds : int;
       (** [Tblidx] index-table materializations executed (once per
-          region call and distinct pattern on the VLA target) *)
+          region call and distinct pattern on the governed targets) *)
   session_insns : int;
       (** retired instructions fed to a live translator session, on
           either tier (stepped or observed on blocks); identical with

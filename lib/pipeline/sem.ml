@@ -11,13 +11,9 @@ type ctx = {
   regs : int array;
   mutable flags : Flags.t;
   vregs : int array array;
-  preds : int array;
-      (* active-lane count per predicate register; [whilelt] only ever
-         produces prefix predicates, so a count is a full representation *)
-  mutable vl : int;
-      (* RVV vector-length grant: the element count the last [vsetvl]
-         granted. One CSR governs every RVV body op, exactly like a
-         prefix predicate of [vl] active lanes *)
+  counts : int array;
+      (* active-lane count per governor ([Governed.index]): the prefix
+         predicate [p0] and the [vl] grant *)
   mutable lanes : int;
   mem : Memory.t;
   (* Scratch effect of the most recent [exec_scalar]/[exec_vector]. A
@@ -39,7 +35,7 @@ type ctx = {
       (** predicated vector executions that paid the masked path *)
   mutable n_tbl_builds : int;
       (** table-lookup index vectors materialized from the runtime
-          vector length ([Vla.Tblidx] executions) *)
+          vector length ([Governed.Tblidx] executions) *)
 }
 
 let create_ctx mem =
@@ -47,8 +43,7 @@ let create_ctx mem =
     regs = Array.make Reg.count 0;
     flags = Flags.initial;
     vregs = Array.init Vreg.count (fun _ -> Array.make max_lanes 0);
-    preds = Array.make Vla.preg_count 0;
-    vl = 0;
+    counts = Array.make 2 0;
     lanes = max_lanes;
     mem;
     e_value = no_value;
@@ -417,10 +412,10 @@ let exec_vector_masked ctx ~k vinsn =
       done;
       Array.fill d k (w - k) 0
   | Vinsn.Vperm _ ->
-      (* The VLA backend lowers permutations to the table-lookup ops
-         ([Vla.Tbl]/[Vla.Tblst]) rather than predicating a register
-         permute, so a predicated [Vperm] can only mean corrupted
-         microcode. *)
+      (* The governed backends lower permutations to the table-lookup
+         ops ([Governed.Tbl]/[Governed.Tblst]) rather than predicating a
+         register permute, so a predicated [Vperm] can only mean
+         corrupted microcode. *)
       raise (Sigill "predicated permutation")
   | Vinsn.Vred { op; acc; src } ->
       if k > 0 then begin
@@ -434,22 +429,32 @@ let exec_vector_masked ctx ~k vinsn =
         ctx.e_value <- v
       end
 
-let exec_vla ctx (p : Vla.exec) =
-  match p with
-  | Vla.Whilelt { pred; counter; bound } ->
+(* Governed execution. The governor's count plays the same role under
+   both targets: [Set] computes [min(max(bound - counter, 0), lanes)]
+   and every body op processes exactly that many lanes until the next
+   [Set]. Only [Step] reads the governor: the predicate target advances
+   by the hardware width, the grant target by the grant. *)
+let exec_governed ctx (g : Governed.t) =
+  match g with
+  | Governed.Set { gov; counter; bound } ->
       clear_effect ctx;
       let c = ctx.regs.(Reg.index counter) in
       let k = bound - c in
       let k = if k < 0 then 0 else if k > ctx.lanes then ctx.lanes else k in
-      ctx.preds.(Vla.preg_index pred) <- k;
+      ctx.counts.(Governed.index gov) <- k;
       ctx.flags <- Flags.of_compare c bound
-  | Vla.Incvl { dst } ->
+  | Governed.Step { gov; dst } ->
       clear_effect ctx;
-      let v = Word.add ctx.regs.(Reg.index dst) ctx.lanes in
+      let by =
+        match gov with
+        | Governed.Pred -> ctx.lanes
+        | Governed.Vl -> ctx.counts.(Governed.index gov)
+      in
+      let v = Word.add ctx.regs.(Reg.index dst) by in
       ctx.regs.(Reg.index dst) <- v;
       ctx.e_value <- v
-  | Vla.Pred { pred; v } ->
-      let k = ctx.preds.(Vla.preg_index pred) in
+  | Governed.Op { gov; v } ->
+      let k = ctx.counts.(Governed.index gov) in
       if k >= ctx.lanes then begin
         (* all-true fast path: every lane active, so the unmasked
            fixed-width semantics apply verbatim (counted before exec so
@@ -462,15 +467,15 @@ let exec_vla ctx (p : Vla.exec) =
         clear_effect ctx;
         exec_vector_masked ctx ~k v
       end
-  | Vla.Tblidx _ ->
+  | Governed.Tblidx _ ->
       (* The index build is pure register-state setup; the simulator
          derives lane indices directly from the pattern at each lookup,
          so only the build count is architectural here. *)
       clear_effect ctx;
       ctx.n_tbl_builds <- ctx.n_tbl_builds + 1
-  | Vla.Tbl { pred; esize; signed; dst; base; counter; pattern } ->
+  | Governed.Tbl { gov; esize; signed; dst; base; counter; pattern } ->
       let w = ctx.lanes in
-      let k = ctx.preds.(Vla.preg_index pred) in
+      let k = ctx.counts.(Governed.index gov) in
       let k = if k > w then w else k in
       if k >= w then ctx.n_pred_fast <- ctx.n_pred_fast + 1
       else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
@@ -485,78 +490,9 @@ let exec_vla ctx (p : Vla.exec) =
         add_access ctx addr bytes false
       done;
       Array.fill d k (w - k) 0
-  | Vla.Tblst { pred; esize; src; base; counter; pattern } ->
+  | Governed.Tblst { gov; esize; src; base; counter; pattern } ->
       let w = ctx.lanes in
-      let k = ctx.preds.(Vla.preg_index pred) in
-      let k = if k > w then w else k in
-      if k >= w then ctx.n_pred_fast <- ctx.n_pred_fast + 1
-      else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-      clear_effect ctx;
-      let bytes = Esize.bytes esize in
-      let base_addr = base_value base ctx in
-      let c = ctx.regs.(Reg.index counter) in
-      let s = ctx.vregs.(Vreg.index src) in
-      for j = 0 to k - 1 do
-        let addr = base_addr + (Perm.src_index pattern (c + j) * bytes) in
-        Memory.write ctx.mem ~addr ~bytes s.(j);
-        add_access ctx addr bytes true
-      done
-
-(* RVV stripmined execution. The single [vl] grant plays the role a
-   prefix predicate plays under VLA: [Vsetvl] computes
-   [min(max(bound - counter, 0), lanes)] and every subsequent body op
-   processes exactly that many elements until the next grant. A full
-   grant takes the same all-true fast path as a full predicate, so the
-   two remainder mechanisms share the masked/fast accounting and the
-   masked execution kernels cannot drift apart. *)
-let exec_rvv ctx (r : Rvv.exec) =
-  match r with
-  | Rvv.Vsetvl { counter; bound } ->
-      clear_effect ctx;
-      let c = ctx.regs.(Reg.index counter) in
-      let k = bound - c in
-      let k = if k < 0 then 0 else if k > ctx.lanes then ctx.lanes else k in
-      ctx.vl <- k;
-      ctx.flags <- Flags.of_compare c bound
-  | Rvv.Addvl { dst } ->
-      clear_effect ctx;
-      let v = Word.add ctx.regs.(Reg.index dst) ctx.vl in
-      ctx.regs.(Reg.index dst) <- v;
-      ctx.e_value <- v
-  | Rvv.Vl { v } ->
-      let k = ctx.vl in
-      if k >= ctx.lanes then begin
-        ctx.n_pred_fast <- ctx.n_pred_fast + 1;
-        exec_vector ctx v
-      end
-      else begin
-        ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-        clear_effect ctx;
-        exec_vector_masked ctx ~k v
-      end
-  | Rvv.Tblidx _ ->
-      clear_effect ctx;
-      ctx.n_tbl_builds <- ctx.n_tbl_builds + 1
-  | Rvv.Tbl { esize; signed; dst; base; counter; pattern } ->
-      let w = ctx.lanes in
-      let k = ctx.vl in
-      let k = if k > w then w else k in
-      if k >= w then ctx.n_pred_fast <- ctx.n_pred_fast + 1
-      else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-      clear_effect ctx;
-      let bytes = Esize.bytes esize in
-      let base_addr = base_value base ctx in
-      let c = ctx.regs.(Reg.index counter) in
-      let d = ctx.vregs.(Vreg.index dst) in
-      for j = 0 to k - 1 do
-        let addr = base_addr + (Perm.src_index pattern (c + j) * bytes) in
-        d.(j) <- Memory.read ctx.mem ~addr ~bytes ~signed;
-        add_access ctx addr bytes false
-      done;
-      Array.fill d k (w - k) 0
-  | Rvv.Tblst { esize; src; base; counter; pattern } ->
-      let w = ctx.lanes in
-      let k = ctx.vl in
+      let k = ctx.counts.(Governed.index gov) in
       let k = if k > w then w else k in
       if k >= w then ctx.n_pred_fast <- ctx.n_pred_fast + 1
       else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
@@ -577,8 +513,9 @@ let step_vector ctx vinsn =
 
 (* --- closure compilation ---
 
-   [compile_vector]/[compile_vla] turn one vector (or VLA) instruction
-   into a specialized [unit -> unit] closure for the block engine:
+   [compile_vector]/[compile_governed] turn one vector (or governed)
+   instruction into a specialized [unit -> unit] closure for the block
+   engine:
    operand registers are resolved to the context arrays once, the lane
    count is baked in (the engine only replays a compiled op while
    [ctx.lanes] equals the baked count), element decode/encode loops are
@@ -586,12 +523,14 @@ let step_vector ctx vinsn =
    pre-resolved through {!Opcode.fn}.
 
    The contract mirrors the scalar kernels above: architectural state
-   (registers, vector registers, predicates, flags, memory) changes
-   exactly as under [exec_vector]/[exec_vla], and the access scratch
-   prefix ([e_nacc]/[acc_*]) is maintained exactly — the engine derives
-   data-cache charges from it. The value/taken scratch fields are
-   skipped; they are only consumed by a live translator session or a
-   trace observer, under which the block engine never runs. A compiled
+   (registers, vector registers, governor counts, flags, memory) changes
+   exactly as under [exec_vector]/[exec_governed], and the access
+   scratch prefix ([e_nacc]/[acc_*]) is maintained exactly — the engine
+   derives data-cache charges from it. The value/taken scratch fields
+   are skipped; they are only consumed by a trace observer, which turns
+   the block engine off, or by a live translator session, under which
+   the engine runs scalar blocks only (feeding the session from their
+   destination registers) and never these vector closures. A compiled
    op that must fault ([Sigill]) does so on every execution, matching
    the interpretive per-execution check. *)
 
@@ -830,28 +769,34 @@ let compile_vector ctx ~lanes:w (vinsn : Vinsn.exec) =
         ctx.regs.(ai) <- f ctx.regs.(ai) !folded;
         ctx.e_nacc <- 0
 
-let compile_vla ctx ~lanes (p : Vla.exec) =
-  match p with
-  | Vla.Whilelt { pred; counter; bound } ->
+let compile_governed ctx ~lanes (g : Governed.t) =
+  match g with
+  | Governed.Set { gov; counter; bound } ->
       let ci = Reg.index counter in
-      let pi = Vla.preg_index pred in
+      let gi = Governed.index gov in
       fun () ->
         let c = ctx.regs.(ci) in
         let k = bound - c in
         let k = if k < 0 then 0 else if k > lanes then lanes else k in
-        ctx.preds.(pi) <- k;
+        ctx.counts.(gi) <- k;
         ctx.flags <- Flags.of_compare c bound;
         ctx.e_nacc <- 0
-  | Vla.Incvl { dst } ->
+  | Governed.Step { gov = Governed.Pred; dst } ->
       let di = Reg.index dst in
       fun () ->
         ctx.regs.(di) <- Word.add ctx.regs.(di) lanes;
         ctx.e_nacc <- 0
-  | Vla.Pred { pred; v } ->
-      let pi = Vla.preg_index pred in
+  | Governed.Step { gov = Governed.Vl as gov; dst } ->
+      let di = Reg.index dst in
+      let gi = Governed.index gov in
+      fun () ->
+        ctx.regs.(di) <- Word.add ctx.regs.(di) ctx.counts.(gi);
+        ctx.e_nacc <- 0
+  | Governed.Op { gov; v } ->
+      let gi = Governed.index gov in
       let full = compile_vector ctx ~lanes v in
       fun () ->
-        let k = ctx.preds.(pi) in
+        let k = ctx.counts.(gi) in
         if k >= lanes then begin
           ctx.n_pred_fast <- ctx.n_pred_fast + 1;
           full ()
@@ -861,13 +806,13 @@ let compile_vla ctx ~lanes (p : Vla.exec) =
           clear_effect ctx;
           exec_vector_masked ctx ~k v
         end
-  | Vla.Tblidx _ ->
+  | Governed.Tblidx _ ->
       fun () ->
         ctx.n_tbl_builds <- ctx.n_tbl_builds + 1;
         ctx.e_nacc <- 0
-  | Vla.Tbl { pred; esize; signed; dst; base; counter; pattern } ->
+  | Governed.Tbl { gov; esize; signed; dst; base; counter; pattern } ->
       let bytes = Esize.bytes esize in
-      let pi = Vla.preg_index pred in
+      let gi = Governed.index gov in
       let ci = Reg.index counter in
       let d = ctx.vregs.(Vreg.index dst) in
       let getb = compile_base ctx base in
@@ -876,7 +821,7 @@ let compile_vla ctx ~lanes (p : Vla.exec) =
       let offs = Perm.offsets pattern in
       let mask = Perm.period pattern - 1 in
       fun () ->
-        let k = ctx.preds.(pi) in
+        let k = ctx.counts.(gi) in
         let k = if k > lanes then lanes else k in
         if k >= lanes then ctx.n_pred_fast <- ctx.n_pred_fast + 1
         else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
@@ -890,93 +835,16 @@ let compile_vla ctx ~lanes (p : Vla.exec) =
         done;
         ctx.e_nacc <- k;
         if k < lanes then Array.fill d k (lanes - k) 0
-  | Vla.Tblst { pred; esize; src; base; counter; pattern } ->
+  | Governed.Tblst { gov; esize; src; base; counter; pattern } ->
       let bytes = Esize.bytes esize in
-      let pi = Vla.preg_index pred in
+      let gi = Governed.index gov in
       let ci = Reg.index counter in
       let s = ctx.vregs.(Vreg.index src) in
       let getb = compile_base ctx base in
       let offs = Perm.offsets pattern in
       let mask = Perm.period pattern - 1 in
       fun () ->
-        let k = ctx.preds.(pi) in
-        let k = if k > lanes then lanes else k in
-        if k >= lanes then ctx.n_pred_fast <- ctx.n_pred_fast + 1
-        else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-        let base_addr = getb () in
-        let c = ctx.regs.(ci) in
-        for j = 0 to k - 1 do
-          let e = c + j in
-          let addr = base_addr + ((e + offs.(e land mask)) * bytes) in
-          Memory.write ctx.mem ~addr ~bytes s.(j);
-          set_access ctx j addr bytes true
-        done;
-        ctx.e_nacc <- k
-
-let compile_rvv ctx ~lanes (r : Rvv.exec) =
-  match r with
-  | Rvv.Vsetvl { counter; bound } ->
-      let ci = Reg.index counter in
-      fun () ->
-        let c = ctx.regs.(ci) in
-        let k = bound - c in
-        let k = if k < 0 then 0 else if k > lanes then lanes else k in
-        ctx.vl <- k;
-        ctx.flags <- Flags.of_compare c bound;
-        ctx.e_nacc <- 0
-  | Rvv.Addvl { dst } ->
-      let di = Reg.index dst in
-      fun () ->
-        ctx.regs.(di) <- Word.add ctx.regs.(di) ctx.vl;
-        ctx.e_nacc <- 0
-  | Rvv.Vl { v } ->
-      let full = compile_vector ctx ~lanes v in
-      fun () ->
-        let k = ctx.vl in
-        if k >= lanes then begin
-          ctx.n_pred_fast <- ctx.n_pred_fast + 1;
-          full ()
-        end
-        else begin
-          ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-          clear_effect ctx;
-          exec_vector_masked ctx ~k v
-        end
-  | Rvv.Tblidx _ ->
-      fun () ->
-        ctx.n_tbl_builds <- ctx.n_tbl_builds + 1;
-        ctx.e_nacc <- 0
-  | Rvv.Tbl { esize; signed; dst; base; counter; pattern } ->
-      let bytes = Esize.bytes esize in
-      let ci = Reg.index counter in
-      let d = ctx.vregs.(Vreg.index dst) in
-      let getb = compile_base ctx base in
-      let offs = Perm.offsets pattern in
-      let mask = Perm.period pattern - 1 in
-      fun () ->
-        let k = ctx.vl in
-        let k = if k > lanes then lanes else k in
-        if k >= lanes then ctx.n_pred_fast <- ctx.n_pred_fast + 1
-        else ctx.n_pred_masked <- ctx.n_pred_masked + 1;
-        let base_addr = getb () in
-        let c = ctx.regs.(ci) in
-        for j = 0 to k - 1 do
-          let e = c + j in
-          let addr = base_addr + ((e + offs.(e land mask)) * bytes) in
-          d.(j) <- Memory.read ctx.mem ~addr ~bytes ~signed;
-          set_access ctx j addr bytes false
-        done;
-        ctx.e_nacc <- k;
-        if k < lanes then Array.fill d k (lanes - k) 0
-  | Rvv.Tblst { esize; src; base; counter; pattern } ->
-      let bytes = Esize.bytes esize in
-      let ci = Reg.index counter in
-      let s = ctx.vregs.(Vreg.index src) in
-      let getb = compile_base ctx base in
-      let offs = Perm.offsets pattern in
-      let mask = Perm.period pattern - 1 in
-      fun () ->
-        let k = ctx.vl in
+        let k = ctx.counts.(gi) in
         let k = if k > lanes then lanes else k in
         if k >= lanes then ctx.n_pred_fast <- ctx.n_pred_fast + 1
         else ctx.n_pred_masked <- ctx.n_pred_masked + 1;

@@ -1,7 +1,7 @@
 open Liquid_isa
 open Liquid_visa
 
-type kind = Fixed | Vla | Rvv
+type kind = Ucode.kind = Fixed | Vla | Rvv
 
 type perm_lowering = Perm_native | Perm_table | Perm_abort
 
@@ -82,47 +82,51 @@ module Fixed_width : S = struct
     no_table_lowering name
 end
 
-module Vla_target : S = struct
-  let kind = Vla
-  let name = "vla"
+(* The governed targets: a prefix predicate (VLA) or a vsetvl grant
+   (RVV) absorbs any remainder, so the loop always runs at the full
+   translated width with ceil(trips / width) iterations, the last one
+   shortened, and no divisibility requirement. The governor is the only
+   thing the two emit differently. *)
+module Governed_target (G : sig
+  val kind : kind
+  val name : string
+  val gov : Governed.governor
+  val register_group : lanes:int -> pressure:int -> int
+end) : S = struct
+  let kind = G.kind
+  let name = G.name
+  let gov = G.gov
 
-  (* Predication absorbs any remainder: the loop always runs at the full
-     hardware width, with ceil(trips / lanes) predicated iterations and
-     no divisibility requirement. *)
   let effective_width ~lanes ~trips =
     if trips > 0 then Ok lanes else Error Abort.Bad_trip_count
 
-  let register_group ~lanes:_ ~pressure:_ = 1
+  let register_group = G.register_group
   let permutation = Perm_table
-
-  let loop_header ~induction ~bound =
-    [ Ucode.UP (Vla.Whilelt { pred = Vla.p0; counter = induction; bound }) ]
-
-  let body_vector v = Ucode.UP (Vla.Pred { pred = Vla.p0; v })
-  let induction_step ~dst ~width:_ = Ucode.UP (Vla.Incvl { dst })
-
-  let trip_compare ~insn:_ ~induction ~bound =
-    Ucode.UP (Vla.Whilelt { pred = Vla.p0; counter = induction; bound })
-
-  let perm_index_build ~pattern = Ucode.UP (Vla.Tblidx { pattern })
+  let set counter bound = Ucode.UG (Governed.Set { gov; counter; bound })
+  let loop_header ~induction ~bound = [ set induction bound ]
+  let body_vector v = Ucode.UG (Governed.Op { gov; v })
+  let induction_step ~dst ~width:_ = Ucode.UG (Governed.Step { gov; dst })
+  let trip_compare ~insn:_ ~induction ~bound = set induction bound
+  let perm_index_build ~pattern = Ucode.UG (Governed.Tblidx { gov; pattern })
 
   let perm_gather ~esize ~signed ~dst ~base ~counter ~pattern =
-    Ucode.UP
-      (Vla.Tbl { pred = Vla.p0; esize; signed; dst; base; counter; pattern })
+    Ucode.UG (Governed.Tbl { gov; esize; signed; dst; base; counter; pattern })
 
   let perm_scatter ~esize ~src ~base ~counter ~pattern =
-    Ucode.UP (Vla.Tblst { pred = Vla.p0; esize; src; base; counter; pattern })
+    Ucode.UG (Governed.Tblst { gov; esize; src; base; counter; pattern })
 end
 
-module Rvv_target : S = struct
+module Vla_target = Governed_target (struct
+  let kind = Vla
+  let name = "vla"
+  let gov = Governed.Pred
+  let register_group ~lanes:_ ~pressure:_ = 1
+end)
+
+module Rvv_target = Governed_target (struct
   let kind = Rvv
   let name = "rvv"
-
-  (* The vsetvl grant absorbs any remainder, exactly as VLA predication
-     does: ceil(trips / width) stripmined iterations, the last running
-     under a shortened grant, with no divisibility requirement. *)
-  let effective_width ~lanes ~trips =
-    if trips > 0 then Ok lanes else Error Abort.Bad_trip_count
+  let gov = Governed.Vl
 
   (* LMUL register grouping: gang [m] architectural vector registers
      into one logical operand, multiplying the datapath width the
@@ -140,26 +144,7 @@ module Rvv_target : S = struct
       else go (m / 2)
     in
     go 8
-
-  let permutation = Perm_table
-
-  let loop_header ~induction ~bound =
-    [ Ucode.UR (Rvv.Vsetvl { counter = induction; bound }) ]
-
-  let body_vector v = Ucode.UR (Rvv.Vl { v })
-  let induction_step ~dst ~width:_ = Ucode.UR (Rvv.Addvl { dst })
-
-  let trip_compare ~insn:_ ~induction ~bound =
-    Ucode.UR (Rvv.Vsetvl { counter = induction; bound })
-
-  let perm_index_build ~pattern = Ucode.UR (Rvv.Tblidx { pattern })
-
-  let perm_gather ~esize ~signed ~dst ~base ~counter ~pattern =
-    Ucode.UR (Rvv.Tbl { esize; signed; dst; base; counter; pattern })
-
-  let perm_scatter ~esize ~src ~base ~counter ~pattern =
-    Ucode.UR (Rvv.Tblst { esize; src; base; counter; pattern })
-end
+end)
 
 let fixed : t = (module Fixed_width)
 let vla : t = (module Vla_target)

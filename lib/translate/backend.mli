@@ -11,19 +11,23 @@
     - the {e fixed-width} target (the paper's Neon-like accelerator)
       picks the widest lane count dividing the trip count and steps the
       induction variable by it — a non-dividing trip count aborts;
-    - the {e vector-length-agnostic} target ({!Liquid_visa.Vla}) always
-      runs at full hardware width under a [whilelt] governing predicate,
-      so any positive trip count translates and the final iteration may
-      be partial;
-    - the {e RVV-style} target ({!Liquid_visa.Rvv}) stripmines: a
-      [vsetvl] request-grant pair sets the vector-length CSR each
-      iteration, the induction variable advances by the granted length,
-      and a non-dividing trip count simply runs its final iteration
-      under a shortened grant — no masks on the main path, no scalar
-      epilogue. It is also the only backend that grades its own width:
-      {!S.register_group} picks an LMUL register-group factor from the
-      region's vector-register pressure, multiplying the effective
-      datapath width when few vector registers are live.
+    - the {e vector-length-agnostic} target always runs at full
+      hardware width under a [whilelt] governing predicate, so any
+      positive trip count translates and the final iteration may be
+      partial;
+    - the {e RVV-style} target stripmines: a [vsetvl] request-grant pair
+      sets the vector-length CSR each iteration, the induction variable
+      advances by the granted length, and a non-dividing trip count
+      simply runs its final iteration under a shortened grant — no
+      masks on the main path, no scalar epilogue. It is also the only
+      backend that grades its own width: {!S.register_group} picks an
+      LMUL register-group factor from the region's vector-register
+      pressure, multiplying the effective datapath width when few
+      vector registers are live.
+
+    The last two emit the same op set ({!Liquid_visa.Governed}) and
+    differ only in its governor: the predicate ([Pred]) or the grant
+    ([Vl]). Both are one implementation parameterized by the governor.
 
     Fixed-geometry permutations are where the encodings diverge most:
     the fixed-width target matches the observed offset stream against
@@ -31,8 +35,8 @@
     while the VLA and RVV targets — whose runtime width need not divide
     (or even reach) the pattern's period — lower the same shapes to
     table-lookup memory ops over an index vector materialized at
-    runtime ({!Liquid_visa.Vla.Tbl} under a predicate,
-    {!Liquid_visa.Rvv.Tbl} under the [vl] grant).
+    runtime ({!Liquid_visa.Governed.Tbl}, under the predicate or the
+    [vl] grant).
     {!Abort.Unportable_permutation} remains only for genuinely
     data-dependent shuffles whose offset stream cannot be proven
     loop-invariant. *)
@@ -40,13 +44,13 @@
 open Liquid_isa
 open Liquid_visa
 
-type kind = Fixed | Vla | Rvv
+type kind = Ucode.kind = Fixed | Vla | Rvv
 
 type perm_lowering =
   | Perm_native  (** CAM match, emit a register permute ({!Vinsn.Vperm}). *)
   | Perm_table
       (** Lower to table-lookup memory ops with a runtime-built index
-          vector ({!Liquid_visa.Vla.Tbl} / {!Liquid_visa.Rvv.Tbl}),
+          vector ({!Liquid_visa.Governed.Tbl}),
           via the backend's {!S.perm_index_build} / {!S.perm_gather} /
           {!S.perm_scatter} hooks. *)
   | Perm_abort

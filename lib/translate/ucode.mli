@@ -12,14 +12,17 @@ open Liquid_visa
 type uop =
   | US of Insn.exec  (** pass-through scalar instruction (never a branch) *)
   | UV of Vinsn.exec
-  | UP of Vla.exec
-      (** predicated / vector-length-agnostic operation — only emitted by
-          the VLA backend *)
-  | UR of Rvv.exec
-      (** [vl]-governed stripmined operation — only emitted by the RVV
-          backend *)
+  | UG of Governed.t
+      (** governed operation — emitted by the VLA ([Pred]) and RVV
+          ([Vl]) backends *)
   | UB of { cond : Cond.t; target : int }  (** intra-microcode branch *)
   | URet
+
+type kind =
+  | Fixed  (** fixed-width: the width divides the trip count *)
+  | Vla  (** vector-length agnostic, governed by the predicate [p0] *)
+  | Rvv  (** stripmined, governed by the [vl] grant *)
+(** The backend a sequence was translated by. *)
 
 type guard = {
   g_addr : int;  (** effective address the folded element was loaded from *)
@@ -46,8 +49,7 @@ type t = {
           under a partial predicate; for the RVV backend it is the
           accelerator width times the [lmul] register-group factor and
           the final iteration may run under a shortened [vl] grant *)
-  vla : bool;  (** translated by the vector-length-agnostic backend *)
-  rvv : bool;  (** translated by the RVV-style stripmining backend *)
+  kind : kind;  (** the backend that translated the sequence *)
   lmul : int;
       (** register-group factor the translator chose from this region's
           vector-register pressure: each logical vector value occupies
@@ -81,5 +83,5 @@ val pp_uop : Format.formatter -> uop -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Full listing: a header line naming the effective width, backend
-    flavour (and LMUL group when [rvv]), uop and guard counts, then one
+    flavour (and LMUL group for [Rvv]), uop and guard counts, then one
     numbered line per micro-op. *)

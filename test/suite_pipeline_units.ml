@@ -13,8 +13,7 @@ let dummy_ucode n =
   {
     Ucode.uops = Array.make n Ucode.URet;
     width = 4;
-    vla = false;
-    rvv = false;
+    kind = Ucode.Fixed;
     lmul = 1;
     source_insns = n;
     observed_insns = n;

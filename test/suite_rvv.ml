@@ -1,7 +1,7 @@
 (* The RVV-style stripmined backend.
 
    Five layers are under test: the vector-length grant semantics
-   ([Sem.exec_rvv] against a hand-built context), LMUL register-group
+   ([Sem.exec_governed] against a hand-built context), LMUL register-group
    selection ([Backend.S.register_group] directly and through the
    translated microcode's width), the translation structure (a vsetvl
    request-grant loop whose back-edge is the last uop before [ret] —
@@ -31,6 +31,8 @@ let check_bool = Alcotest.(check bool)
 
 (* --- vsetvl grant semantics --- *)
 
+let vl_slot = Governed.index Governed.Vl
+
 let rvv_ctx ~lanes =
   let c = Sem.create_ctx (Memory.create ()) in
   c.Sem.lanes <- lanes;
@@ -38,45 +40,45 @@ let rvv_ctx ~lanes =
 
 let vsetvl c ~counter ~bound =
   c.Sem.regs.(0) <- counter;
-  Sem.exec_rvv c (Rvv.Vsetvl { counter = r 0; bound })
+  Sem.exec_governed c (Governed.Set { gov = Governed.Vl; counter = r 0; bound })
 
 let test_vsetvl () =
   let c = rvv_ctx ~lanes:4 in
   vsetvl c ~counter:0 ~bound:15;
-  check "full grant" 4 c.Sem.vl;
+  check "full grant" 4 c.Sem.counts.(vl_slot);
   check_bool "continue flag" true (Flags.lt c.Sem.flags);
   vsetvl c ~counter:12 ~bound:15;
-  check "shortened final grant" 3 c.Sem.vl;
+  check "shortened final grant" 3 c.Sem.counts.(vl_slot);
   check_bool "still continuing" true (Flags.lt c.Sem.flags);
   vsetvl c ~counter:16 ~bound:15;
-  check "overshoot grants zero" 0 c.Sem.vl;
+  check "overshoot grants zero" 0 c.Sem.counts.(vl_slot);
   check_bool "loop exits" false (Flags.lt c.Sem.flags);
   vsetvl c ~counter:15 ~bound:15;
-  check "exact end grants zero" 0 c.Sem.vl;
+  check "exact end grants zero" 0 c.Sem.counts.(vl_slot);
   check_bool "equality exits too" false (Flags.lt c.Sem.flags)
 
 let test_addvl () =
   let c = rvv_ctx ~lanes:4 in
   vsetvl c ~counter:0 ~bound:15;
   c.Sem.regs.(3) <- 12;
-  Sem.exec_rvv c (Rvv.Addvl { dst = r 3 });
+  Sem.exec_governed c (Governed.Step { gov = Governed.Vl; dst = r 3 });
   check "advanced by the full grant" 16 c.Sem.regs.(3);
   (* The final trip advances by the shortened grant, landing the
      counter exactly on the bound — the defining difference from a
      fixed-step increment. *)
   vsetvl c ~counter:12 ~bound:15;
   c.Sem.regs.(3) <- 12;
-  Sem.exec_rvv c (Rvv.Addvl { dst = r 3 });
+  Sem.exec_governed c (Governed.Step { gov = Governed.Vl; dst = r 3 });
   check "advanced by the shortened grant" 15 c.Sem.regs.(3)
 
-let vl v = Rvv.Vl { v }
+let vl v = Governed.Op { gov = Governed.Vl; v }
 
 let test_vl_dp_tail_zeroing () =
   let c = rvv_ctx ~lanes:4 in
   Array.blit [| 1; 2; 3; 4 |] 0 c.Sem.vregs.(1) 0 4;
   Array.fill c.Sem.vregs.(2) 0 4 99;
-  c.Sem.vl <- 2;
-  Sem.exec_rvv c
+  c.Sem.counts.(vl_slot) <- 2;
+  Sem.exec_governed c
     (vl (Vinsn.Vdp { op = Opcode.Add; dst = v 2; src1 = v 1; src2 = VR (v 1) }));
   check "granted lane 0" 2 c.Sem.vregs.(2).(0);
   check "granted lane 1" 4 c.Sem.vregs.(2).(1);
@@ -84,8 +86,8 @@ let test_vl_dp_tail_zeroing () =
   check "tail lane zeroed (last)" 0 c.Sem.vregs.(2).(3);
   check "masked path counted" 1 c.Sem.n_pred_masked;
   (* A full grant must behave exactly like the unmasked op. *)
-  c.Sem.vl <- 4;
-  Sem.exec_rvv c
+  c.Sem.counts.(vl_slot) <- 4;
+  Sem.exec_governed c
     (vl (Vinsn.Vdp { op = Opcode.Mul; dst = v 2; src1 = v 1; src2 = VImm 3 }));
   check "full grant lane 3" 12 c.Sem.vregs.(2).(3);
   check "all-true fast path counted" 1 c.Sem.n_pred_fast
@@ -96,8 +98,8 @@ let test_vl_load_store () =
     Memory.write c.Sem.mem ~addr:(0x5000 + (i * 4)) ~bytes:4 (100 + i)
   done;
   c.Sem.regs.(0) <- 0;
-  c.Sem.vl <- 3;
-  Sem.exec_rvv c
+  c.Sem.counts.(vl_slot) <- 3;
+  Sem.exec_governed c
     (vl
        (Vinsn.Vld
           { esize = Esize.Word; signed = true; dst = v 1; base = Insn.Sym 0x5000; index = r 0 }));
@@ -110,9 +112,9 @@ let test_vl_load_store () =
    | _ -> Alcotest.fail "expected one access");
   (* Shortened store: the lane past the grant must not reach memory. *)
   Memory.write c.Sem.mem ~addr:(0x6000 + 8) ~bytes:4 (-1);
-  c.Sem.vl <- 2;
+  c.Sem.counts.(vl_slot) <- 2;
   Array.blit [| 7; 8; 9; 10 |] 0 c.Sem.vregs.(1) 0 4;
-  Sem.exec_rvv c
+  Sem.exec_governed c
     (vl (Vinsn.Vst { esize = Esize.Word; src = v 1; base = Insn.Sym 0x6000; index = r 0 }));
   check "granted lane stored" 7
     (Memory.read c.Sem.mem ~addr:0x6000 ~bytes:4 ~signed:true);
@@ -125,11 +127,11 @@ let test_vl_reduction () =
   let c = rvv_ctx ~lanes:4 in
   Array.blit [| 1; 2; 3; 4 |] 0 c.Sem.vregs.(1) 0 4;
   c.Sem.regs.(5) <- 100;
-  c.Sem.vl <- 3;
-  Sem.exec_rvv c (vl (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
+  c.Sem.counts.(vl_slot) <- 3;
+  Sem.exec_governed c (vl (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
   check "folds granted lanes only" 106 c.Sem.regs.(5);
-  c.Sem.vl <- 0;
-  Sem.exec_rvv c (vl (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
+  c.Sem.counts.(vl_slot) <- 0;
+  Sem.exec_governed c (vl (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
   check "zero grant is a no-op" 106 c.Sem.regs.(5)
 
 (* --- LMUL register-group selection --- *)
@@ -212,8 +214,8 @@ let test_rvv_translation_structure () =
     | Translator.Aborted a ->
         Alcotest.failf "RVV backend aborted: %s" (Abort.to_string a)
   in
-  check_bool "marked as RVV microcode" true u.Ucode.rvv;
-  check_bool "not marked as VLA microcode" false u.Ucode.vla;
+  check_bool "marked as RVV microcode" true (u.Ucode.kind = Ucode.Rvv);
+  check_bool "not marked as VLA microcode" false (u.Ucode.kind = Ucode.Vla);
   (* Two live vector values at 4 base lanes grade an m4 group: the
      effective translation width is the full 16-element maximum. *)
   check "LMUL group factor" 4 u.Ucode.lmul;
@@ -221,15 +223,24 @@ let test_rvv_translation_structure () =
   let uops = Array.to_list u.Ucode.uops in
   let count p = List.length (List.filter p uops) in
   check "one header + one loop-end vsetvl" 2
-    (count (function Ucode.UR (Rvv.Vsetvl _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Set { gov = Governed.Vl; _ }) -> true | _ -> false));
   check "one grant-sized induction advance" 1
-    (count (function Ucode.UR (Rvv.Addvl _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Step { gov = Governed.Vl; _ }) -> true | _ -> false));
   check "every body op under the grant" 6
-    (count (function Ucode.UR (Rvv.Vl _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Op { gov = Governed.Vl; _ }) -> true | _ -> false));
   check "no unguarded vector ops" 0
     (count (function Ucode.UV _ -> true | _ -> false));
   check "no predicate machinery" 0
-    (count (function Ucode.UP _ -> true | _ -> false));
+    (count (function
+       | Ucode.UG
+           ( Governed.Set { gov = Governed.Pred; _ }
+           | Governed.Op { gov = Governed.Pred; _ }
+           | Governed.Step { gov = Governed.Pred; _ }
+           | Governed.Tblidx { gov = Governed.Pred; _ }
+           | Governed.Tbl { gov = Governed.Pred; _ }
+           | Governed.Tblst { gov = Governed.Pred; _ } ) ->
+           true
+       | _ -> false));
   (* Zero scalar-epilogue structure: the back-edge is the last uop
      before [ret] — nothing runs after the vector loop. *)
   let n = Array.length u.Ucode.uops in
@@ -239,13 +250,13 @@ let test_rvv_translation_structure () =
       (* ...and the back-edge re-enters after the header vsetvl, which
          runs exactly once. *)
       (match u.Ucode.uops.(target - 1) with
-      | Ucode.UR (Rvv.Vsetvl _) -> ()
+      | Ucode.UG (Governed.Set { gov = Governed.Vl; _ }) -> ()
       | _ -> Alcotest.fail "back-edge target not after the header vsetvl")
   | _ -> Alcotest.fail "expected the loop back-edge right before ret");
   (* The loop-end vsetvl must renew the grant and the flags before the
      back-edge tests them. *)
   match u.Ucode.uops.(n - 3) with
-  | Ucode.UR (Rvv.Vsetvl _) -> ()
+  | Ucode.UG (Governed.Set { gov = Governed.Vl; _ }) -> ()
   | _ -> Alcotest.fail "expected the loop-end vsetvl before the back-edge"
 
 (* --- end-to-end: shortened final grant, bit-identical state --- *)
@@ -304,10 +315,11 @@ let test_tbl_exec () =
     Memory.write c.Sem.mem ~addr:(0x7000 + (4 * j)) ~bytes:4 (10 * j)
   done;
   c.Sem.regs.(0) <- 2;
-  c.Sem.vl <- 4;
+  c.Sem.counts.(vl_slot) <- 4;
   let tbl dst =
-    Rvv.Tbl
+    Governed.Tbl
       {
+        gov = Governed.Vl;
         esize = Esize.Word;
         signed = true;
         dst;
@@ -316,7 +328,7 @@ let test_tbl_exec () =
         pattern = Perm.pairswap;
       }
   in
-  Sem.exec_rvv c (tbl (v 1));
+  Sem.exec_governed c (tbl (v 1));
   (* lane j reads element src_index pairswap (2+j) = 3, 2, 5, 4 *)
   check "lane 0" 30 c.Sem.vregs.(1).(0);
   check "lane 1" 20 c.Sem.vregs.(1).(1);
@@ -325,8 +337,8 @@ let test_tbl_exec () =
   check "full-grant fast path counted" 1 c.Sem.n_pred_fast;
   (* Shortened final grant: tail lanes load nothing and zero. *)
   Array.fill c.Sem.vregs.(2) 0 4 99;
-  c.Sem.vl <- 2;
-  Sem.exec_rvv c (tbl (v 2));
+  c.Sem.counts.(vl_slot) <- 2;
+  Sem.exec_governed c (tbl (v 2));
   check "tail lane 0" 30 c.Sem.vregs.(2).(0);
   check "tail lane 1" 20 c.Sem.vregs.(2).(1);
   check "tail lane zeroed" 0 c.Sem.vregs.(2).(2);
@@ -340,10 +352,11 @@ let test_tblst_exec () =
   done;
   Array.blit [| 7; 8; 9; 10 |] 0 c.Sem.vregs.(1) 0 4;
   c.Sem.regs.(0) <- 0;
-  c.Sem.vl <- 3;
-  Sem.exec_rvv c
-    (Rvv.Tblst
+  c.Sem.counts.(vl_slot) <- 3;
+  Sem.exec_governed c
+    (Governed.Tblst
        {
+         gov = Governed.Vl;
          esize = Esize.Word;
          src = v 1;
          base = Insn.Sym 0x6100;
@@ -361,8 +374,8 @@ let test_tblst_exec () =
 let test_tblidx () =
   let c = rvv_ctx ~lanes:8 in
   check "no builds yet" 0 c.Sem.n_tbl_builds;
-  Sem.exec_rvv c (Rvv.Tblidx { pattern = Perm.Reverse 4 });
-  Sem.exec_rvv c (Rvv.Tblidx { pattern = Perm.pairswap });
+  Sem.exec_governed c (Governed.Tblidx { gov = Governed.Vl; pattern = Perm.Reverse 4 });
+  Sem.exec_governed c (Governed.Tblidx { gov = Governed.Vl; pattern = Perm.pairswap });
   check "each build counted" 2 c.Sem.n_tbl_builds;
   let eff = Sem.last_effect c in
   check "no memory traffic" 0 (List.length eff.Sem.accesses)
@@ -417,13 +430,13 @@ let test_perm_recovery_structure () =
               (Abort.to_string a)
       in
       check "one index-table build" 1
-        (count_uops (function Ucode.UR (Rvv.Tblidx _) -> true | _ -> false) u);
+        (count_uops (function Ucode.UG (Governed.Tblidx { gov = Governed.Vl; _ }) -> true | _ -> false) u);
       check "one table-lookup gather" 1
-        (count_uops (function Ucode.UR (Rvv.Tbl _) -> true | _ -> false) u);
+        (count_uops (function Ucode.UG (Governed.Tbl { gov = Governed.Vl; _ }) -> true | _ -> false) u);
       check "no register permute" 0
         (count_uops
            (function
-             | Ucode.UV (Vinsn.Vperm _) | Ucode.UR (Rvv.Vl { v = Vinsn.Vperm _ })
+             | Ucode.UV (Vinsn.Vperm _) | Ucode.UG (Governed.Op { gov = Governed.Vl; v = Vinsn.Vperm _ })
                ->
                  true
              | _ -> false)
@@ -432,7 +445,7 @@ let test_perm_recovery_structure () =
          into the table lookup — the alignment-network collapse. *)
       check "no residual vector load" 0
         (count_uops
-           (function Ucode.UR (Rvv.Vl { v = Vinsn.Vld _ }) -> true | _ -> false)
+           (function Ucode.UG (Governed.Op { gov = Governed.Vl; v = Vinsn.Vld _ }) -> true | _ -> false)
            u);
       (* The index-table build runs once per call: it precedes the
          header vsetvl, and the back-edge re-enters after both. *)
@@ -442,10 +455,10 @@ let test_perm_recovery_structure () =
         | _ -> Alcotest.fail "expected the loop back-edge right before ret"
       in
       (match u.Ucode.uops.(target - 1) with
-      | Ucode.UR (Rvv.Vsetvl _) -> ()
+      | Ucode.UG (Governed.Set { gov = Governed.Vl; _ }) -> ()
       | _ -> Alcotest.fail "back-edge target not after the header vsetvl");
       (match u.Ucode.uops.(target - 2) with
-      | Ucode.UR (Rvv.Tblidx _) -> ()
+      | Ucode.UG (Governed.Tblidx { gov = Governed.Vl; _ }) -> ()
       | _ -> Alcotest.fail "index-table build not before the header");
       (* The baked pattern is protected by per-trip offset guards, so a
          mutated offset array drops the microcode instead of replaying a
@@ -463,10 +476,10 @@ let test_perm_scatter_recovery () =
         Alcotest.failf "RVV aborted on scatter: %s" (Abort.to_string a)
   in
   check "one table-lookup scatter" 1
-    (count_uops (function Ucode.UR (Rvv.Tblst _) -> true | _ -> false) u);
+    (count_uops (function Ucode.UG (Governed.Tblst { gov = Governed.Vl; _ }) -> true | _ -> false) u);
   check "no residual vector store" 0
     (count_uops
-       (function Ucode.UR (Rvv.Vl { v = Vinsn.Vst _ }) -> true | _ -> false)
+       (function Ucode.UG (Governed.Op { gov = Governed.Vl; v = Vinsn.Vst _ }) -> true | _ -> false)
        u)
 
 (* End-to-end at a trip count no fixed width divides: the recovered

@@ -74,7 +74,7 @@ let check_identical what (on : Cpu.run) (off : Cpu.run) =
 let check_conservation what (r : Cpu.run) =
   Alcotest.(check int)
     (what ^ ": pred fast + masked = dispatched")
-    r.Cpu.vla_pred_execs
+    r.Cpu.governed_execs
     (r.Cpu.pred_fast_iters + r.Cpu.pred_masked_iters)
 
 let check_variant w variant =

@@ -1,6 +1,6 @@
 (* The vector-length-agnostic (SVE-style) backend.
 
-   Five layers are under test: the predicate semantics ([Sem.exec_vla]
+   Five layers are under test: the predicate semantics ([Sem.exec_governed]
    against a hand-built context), the translation structure (a whilelt
    loop with a predicated final iteration and nothing after the
    back-edge), the end-to-end claim of the backend (a trip count that is
@@ -28,6 +28,8 @@ let check_bool = Alcotest.(check bool)
 
 (* --- predicate semantics --- *)
 
+let p0 = Governed.index Governed.Pred
+
 let vla_ctx ~lanes =
   let c = Sem.create_ctx (Memory.create ()) in
   c.Sem.lanes <- lanes;
@@ -35,48 +37,48 @@ let vla_ctx ~lanes =
 
 let whilelt c ~counter ~bound =
   c.Sem.regs.(0) <- counter;
-  Sem.exec_vla c (Vla.Whilelt { pred = Vla.p0; counter = r 0; bound })
+  Sem.exec_governed c (Governed.Set { gov = Governed.Pred; counter = r 0; bound })
 
 let test_whilelt () =
   let c = vla_ctx ~lanes:4 in
   whilelt c ~counter:0 ~bound:15;
-  check "full predicate" 4 c.Sem.preds.(0);
+  check "full predicate" 4 c.Sem.counts.(p0);
   check_bool "continue flag" true (Flags.lt c.Sem.flags);
   whilelt c ~counter:12 ~bound:15;
-  check "partial tail" 3 c.Sem.preds.(0);
+  check "partial tail" 3 c.Sem.counts.(p0);
   check_bool "still continuing" true (Flags.lt c.Sem.flags);
   whilelt c ~counter:16 ~bound:15;
-  check "overshoot empty" 0 c.Sem.preds.(0);
+  check "overshoot empty" 0 c.Sem.counts.(p0);
   check_bool "loop exits" false (Flags.lt c.Sem.flags);
   whilelt c ~counter:15 ~bound:15;
-  check "exact end empty" 0 c.Sem.preds.(0);
+  check "exact end empty" 0 c.Sem.counts.(p0);
   check_bool "equality exits too" false (Flags.lt c.Sem.flags)
 
 let test_incvl () =
   let c = vla_ctx ~lanes:4 in
   c.Sem.regs.(3) <- 12;
-  Sem.exec_vla c (Vla.Incvl { dst = r 3 });
+  Sem.exec_governed c (Governed.Step { gov = Governed.Pred; dst = r 3 });
   check "advanced by VL" 16 c.Sem.regs.(3);
   c.Sem.lanes <- 8;
-  Sem.exec_vla c (Vla.Incvl { dst = r 3 });
+  Sem.exec_governed c (Governed.Step { gov = Governed.Pred; dst = r 3 });
   check "tracks the active width" 24 c.Sem.regs.(3)
 
-let pred v = Vla.Pred { pred = Vla.p0; v }
+let pred v = Governed.Op { gov = Governed.Pred; v }
 
 let test_pred_dp_zeroing () =
   let c = vla_ctx ~lanes:4 in
   Array.blit [| 1; 2; 3; 4 |] 0 c.Sem.vregs.(1) 0 4;
   Array.fill c.Sem.vregs.(2) 0 4 99;
-  c.Sem.preds.(0) <- 2;
-  Sem.exec_vla c
+  c.Sem.counts.(p0) <- 2;
+  Sem.exec_governed c
     (pred (Vinsn.Vdp { op = Opcode.Add; dst = v 2; src1 = v 1; src2 = VR (v 1) }));
   check "active lane 0" 2 c.Sem.vregs.(2).(0);
   check "active lane 1" 4 c.Sem.vregs.(2).(1);
   check "inactive lane zeroed" 0 c.Sem.vregs.(2).(2);
   check "inactive lane zeroed (last)" 0 c.Sem.vregs.(2).(3);
   (* A full predicate must behave exactly like the unpredicated op. *)
-  c.Sem.preds.(0) <- 4;
-  Sem.exec_vla c
+  c.Sem.counts.(p0) <- 4;
+  Sem.exec_governed c
     (pred (Vinsn.Vdp { op = Opcode.Mul; dst = v 2; src1 = v 1; src2 = VImm 3 }));
   check "full predicate lane 3" 12 c.Sem.vregs.(2).(3)
 
@@ -86,8 +88,8 @@ let test_pred_load_store () =
     Memory.write c.Sem.mem ~addr:(0x5000 + (i * 4)) ~bytes:4 (100 + i)
   done;
   c.Sem.regs.(0) <- 0;
-  c.Sem.preds.(0) <- 3;
-  Sem.exec_vla c
+  c.Sem.counts.(p0) <- 3;
+  Sem.exec_governed c
     (pred
        (Vinsn.Vld
           { esize = Esize.Word; signed = true; dst = v 1; base = Insn.Sym 0x5000; index = r 0 }));
@@ -100,9 +102,9 @@ let test_pred_load_store () =
    | _ -> Alcotest.fail "expected one access");
   (* Partial store: the lane past the predicate must not reach memory. *)
   Memory.write c.Sem.mem ~addr:(0x6000 + 8) ~bytes:4 (-1);
-  c.Sem.preds.(0) <- 2;
+  c.Sem.counts.(p0) <- 2;
   Array.blit [| 7; 8; 9; 10 |] 0 c.Sem.vregs.(1) 0 4;
-  Sem.exec_vla c
+  Sem.exec_governed c
     (pred (Vinsn.Vst { esize = Esize.Word; src = v 1; base = Insn.Sym 0x6000; index = r 0 }));
   check "active lane stored" 7
     (Memory.read c.Sem.mem ~addr:0x6000 ~bytes:4 ~signed:true);
@@ -115,19 +117,19 @@ let test_pred_reduction () =
   let c = vla_ctx ~lanes:4 in
   Array.blit [| 1; 2; 3; 4 |] 0 c.Sem.vregs.(1) 0 4;
   c.Sem.regs.(5) <- 100;
-  c.Sem.preds.(0) <- 3;
-  Sem.exec_vla c (pred (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
+  c.Sem.counts.(p0) <- 3;
+  Sem.exec_governed c (pred (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
   check "folds active lanes only" 106 c.Sem.regs.(5);
-  c.Sem.preds.(0) <- 0;
-  Sem.exec_vla c (pred (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
+  c.Sem.counts.(p0) <- 0;
+  Sem.exec_governed c (pred (Vinsn.Vred { op = Opcode.Add; acc = r 5; src = v 1 }));
   check "empty predicate is a no-op" 106 c.Sem.regs.(5)
 
 let test_pred_permutation_sigill () =
   let c = vla_ctx ~lanes:4 in
-  c.Sem.preds.(0) <- 2;
+  c.Sem.counts.(p0) <- 2;
   Alcotest.check_raises "predicated permutation refuses to execute"
     (Sem.Sigill "predicated permutation") (fun () ->
-      Sem.exec_vla c
+      Sem.exec_governed c
         (pred (Vinsn.Vperm { pattern = Perm.Reverse 4; dst = v 1; src = v 1 })))
 
 (* --- translation structure: the FIR-15 loop --- *)
@@ -195,16 +197,16 @@ let test_vla_translation_structure () =
     | Translator.Aborted a ->
         Alcotest.failf "VLA backend aborted: %s" (Abort.to_string a)
   in
-  check_bool "marked as VLA microcode" true u.Ucode.vla;
+  check_bool "marked as VLA microcode" true (u.Ucode.kind = Ucode.Vla);
   check "translated at the full lane count" 4 u.Ucode.width;
   let uops = Array.to_list u.Ucode.uops in
   let count p = List.length (List.filter p uops) in
   check "one header + one loop-end whilelt" 2
-    (count (function Ucode.UP (Vla.Whilelt _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Set { gov = Governed.Pred; _ }) -> true | _ -> false));
   check "one induction increment" 1
-    (count (function Ucode.UP (Vla.Incvl _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Step { gov = Governed.Pred; _ }) -> true | _ -> false));
   check "every body op predicated" 6
-    (count (function Ucode.UP (Vla.Pred _) -> true | _ -> false));
+    (count (function Ucode.UG (Governed.Op { gov = Governed.Pred; _ }) -> true | _ -> false));
   check "no unpredicated vector ops" 0
     (count (function Ucode.UV _ -> true | _ -> false));
   (* Zero scalar-epilogue structure: the back-edge is the last uop
@@ -216,13 +218,13 @@ let test_vla_translation_structure () =
       (* ...and the back-edge re-enters after the header whilelt, which
          runs exactly once. *)
       (match u.Ucode.uops.(target - 1) with
-      | Ucode.UP (Vla.Whilelt _) -> ()
+      | Ucode.UG (Governed.Set { gov = Governed.Pred; _ }) -> ()
       | _ -> Alcotest.fail "back-edge target not after the header whilelt")
   | _ -> Alcotest.fail "expected the loop back-edge right before ret");
   (* The loop-end whilelt must recompute the predicate before the
      back-edge tests the flags. *)
   match u.Ucode.uops.(n - 3) with
-  | Ucode.UP (Vla.Whilelt _) -> ()
+  | Ucode.UG (Governed.Set { gov = Governed.Pred; _ }) -> ()
   | _ -> Alcotest.fail "expected the loop-end whilelt before the back-edge"
 
 (* --- end-to-end: predicated epilogue, bit-identical state --- *)
@@ -284,11 +286,11 @@ let test_tbl_exec () =
     Memory.write c.Sem.mem ~addr:(0x7000 + (4 * j)) ~bytes:4 (10 * j)
   done;
   c.Sem.regs.(0) <- 2;
-  c.Sem.preds.(0) <- 4;
+  c.Sem.counts.(p0) <- 4;
   let tbl dst =
-    Vla.Tbl
+    Governed.Tbl
       {
-        pred = Vla.p0;
+        gov = Governed.Pred;
         esize = Esize.Word;
         signed = true;
         dst;
@@ -297,7 +299,7 @@ let test_tbl_exec () =
         pattern = Perm.pairswap;
       }
   in
-  Sem.exec_vla c (tbl (v 1));
+  Sem.exec_governed c (tbl (v 1));
   (* lane j reads element src_index pairswap (2+j) = 3, 2, 5, 4 *)
   check "lane 0" 30 c.Sem.vregs.(1).(0);
   check "lane 1" 20 c.Sem.vregs.(1).(1);
@@ -306,8 +308,8 @@ let test_tbl_exec () =
   check "all-true fast path counted" 1 c.Sem.n_pred_fast;
   (* Predicated tail: lanes past the predicate load nothing and zero. *)
   Array.fill c.Sem.vregs.(2) 0 4 99;
-  c.Sem.preds.(0) <- 2;
-  Sem.exec_vla c (tbl (v 2));
+  c.Sem.counts.(p0) <- 2;
+  Sem.exec_governed c (tbl (v 2));
   check "tail lane 0" 30 c.Sem.vregs.(2).(0);
   check "tail lane 1" 20 c.Sem.vregs.(2).(1);
   check "inactive lane zeroed" 0 c.Sem.vregs.(2).(2);
@@ -321,11 +323,11 @@ let test_tblst_exec () =
   done;
   Array.blit [| 7; 8; 9; 10 |] 0 c.Sem.vregs.(1) 0 4;
   c.Sem.regs.(0) <- 0;
-  c.Sem.preds.(0) <- 3;
-  Sem.exec_vla c
-    (Vla.Tblst
+  c.Sem.counts.(p0) <- 3;
+  Sem.exec_governed c
+    (Governed.Tblst
        {
-         pred = Vla.p0;
+         gov = Governed.Pred;
          esize = Esize.Word;
          src = v 1;
          base = Insn.Sym 0x6100;
@@ -343,8 +345,8 @@ let test_tblst_exec () =
 let test_tblidx () =
   let c = vla_ctx ~lanes:8 in
   check "no builds yet" 0 c.Sem.n_tbl_builds;
-  Sem.exec_vla c (Vla.Tblidx { pattern = Perm.Reverse 4 });
-  Sem.exec_vla c (Vla.Tblidx { pattern = Perm.pairswap });
+  Sem.exec_governed c (Governed.Tblidx { gov = Governed.Pred; pattern = Perm.Reverse 4 });
+  Sem.exec_governed c (Governed.Tblidx { gov = Governed.Pred; pattern = Perm.pairswap });
   check "each build counted" 2 c.Sem.n_tbl_builds;
   let eff = Sem.last_effect c in
   check "no memory traffic" 0 (List.length eff.Sem.accesses)
@@ -411,13 +413,13 @@ let test_perm_recovery_structure () =
               (Abort.to_string a)
       in
       check "one index-table build" 1
-        (count_uops (function Ucode.UP (Vla.Tblidx _) -> true | _ -> false) u);
+        (count_uops (function Ucode.UG (Governed.Tblidx { gov = Governed.Pred; _ }) -> true | _ -> false) u);
       check "one table-lookup gather" 1
-        (count_uops (function Ucode.UP (Vla.Tbl _) -> true | _ -> false) u);
+        (count_uops (function Ucode.UG (Governed.Tbl { gov = Governed.Pred; _ }) -> true | _ -> false) u);
       check "no register permute" 0
         (count_uops
            (function
-             | Ucode.UV (Vinsn.Vperm _) | Ucode.UP (Vla.Pred { v = Vinsn.Vperm _; _ })
+             | Ucode.UV (Vinsn.Vperm _) | Ucode.UG (Governed.Op { gov = Governed.Pred; v = Vinsn.Vperm _ })
                ->
                  true
              | _ -> false)
@@ -426,7 +428,7 @@ let test_perm_recovery_structure () =
          into the table lookup — the alignment-network collapse. *)
       check "no residual vector load" 0
         (count_uops
-           (function Ucode.UP (Vla.Pred { v = Vinsn.Vld _; _ }) -> true | _ -> false)
+           (function Ucode.UG (Governed.Op { gov = Governed.Pred; v = Vinsn.Vld _ }) -> true | _ -> false)
            u);
       (* The index-table build runs once per call: it precedes the
          header whilelt, and the back-edge re-enters after both. *)
@@ -436,10 +438,10 @@ let test_perm_recovery_structure () =
         | _ -> Alcotest.fail "expected the loop back-edge right before ret"
       in
       (match u.Ucode.uops.(target - 1) with
-      | Ucode.UP (Vla.Whilelt _) -> ()
+      | Ucode.UG (Governed.Set { gov = Governed.Pred; _ }) -> ()
       | _ -> Alcotest.fail "back-edge target not after the header whilelt");
       (match u.Ucode.uops.(target - 2) with
-      | Ucode.UP (Vla.Tblidx _) -> ()
+      | Ucode.UG (Governed.Tblidx { gov = Governed.Pred; _ }) -> ()
       | _ -> Alcotest.fail "index-table build not before the header");
       (* The baked pattern is protected by per-trip offset guards, so a
          mutated offset array drops the microcode instead of replaying a
@@ -457,10 +459,10 @@ let test_perm_scatter_recovery () =
         Alcotest.failf "VLA aborted on scatter: %s" (Abort.to_string a)
   in
   check "one table-lookup scatter" 1
-    (count_uops (function Ucode.UP (Vla.Tblst _) -> true | _ -> false) u);
+    (count_uops (function Ucode.UG (Governed.Tblst { gov = Governed.Pred; _ }) -> true | _ -> false) u);
   check "no residual vector store" 0
     (count_uops
-       (function Ucode.UP (Vla.Pred { v = Vinsn.Vst _; _ }) -> true | _ -> false)
+       (function Ucode.UG (Governed.Op { gov = Governed.Pred; v = Vinsn.Vst _ }) -> true | _ -> false)
        u)
 
 (* End-to-end at a trip count no fixed width divides: the recovered
