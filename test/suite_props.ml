@@ -8,6 +8,7 @@ open Liquid_visa
 open Liquid_prog
 open Liquid_scalarize
 module Cpu = Liquid_pipeline.Cpu
+module Sem = Liquid_pipeline.Sem
 open Helpers
 open Build
 module Kernels = Liquid_workloads.Kernels
@@ -735,3 +736,136 @@ let machine_robustness_props =
   ]
 
 let tests = tests @ machine_robustness_props
+
+(* --- compiled governed ops match the interpretive ones --- *)
+
+(* One governed op on a random machine: the lane count, both governor
+   counts (the op's own one full or partial, the other arbitrary, so
+   reading the wrong slot shows), registers, vector registers and
+   memory. Register values are non-negative (table lookups index the
+   element stream from a counter, which [Perm.src_index] defines for
+   [i >= 0]) and half of them point into the filled data window. *)
+type governed_case = {
+  g_lanes : int;
+  g_op : Governed.t;
+  g_counts : int array;
+  g_regs : int array;
+  g_vregs : int array array;
+  g_mem_seed : int;
+}
+
+let data_window = 0x100000
+let data_window_bytes = 8192
+
+let gen_governed_case : governed_case QCheck.Gen.t =
+ fun st ->
+  let open QCheck.Gen in
+  let lanes = oneofl [ 2; 4; 8; 16 ] st in
+  let gov = if bool st then Governed.Pred else Governed.Vl in
+  let counts = Array.init 2 (fun _ -> int_range 0 16 st) in
+  counts.(Governed.index gov) <- (if bool st then lanes else int_range 0 lanes st);
+  let regs =
+    Array.init Reg.count (fun _ ->
+        if bool st then int_range 0 255 st
+        else data_window + int_range 0 (data_window_bytes / 2) st)
+  in
+  let table_base st =
+    if bool st then Insn.Breg (gen_reg st)
+    else Insn.Sym (data_window + int_range 0 1024 st)
+  in
+  let op =
+    match int_range 0 5 st with
+    | 0 ->
+        let counter = gen_reg st in
+        let bound = regs.(Reg.index counter) + int_range (-4) 24 st in
+        Governed.Set { gov; counter; bound }
+    | 1 -> Governed.Op { gov; v = gen_vector_insn st }
+    | 2 -> Governed.Step { gov; dst = gen_reg st }
+    | 3 -> Governed.Tblidx { gov; pattern = perm_gen st }
+    | 4 ->
+        Governed.Tbl
+          {
+            gov;
+            esize = gen_esize st;
+            signed = bool st;
+            dst = gen_vreg st;
+            base = table_base st;
+            counter = gen_reg st;
+            pattern = perm_gen st;
+          }
+    | _ ->
+        Governed.Tblst
+          {
+            gov;
+            esize = gen_esize st;
+            src = gen_vreg st;
+            base = table_base st;
+            counter = gen_reg st;
+            pattern = perm_gen st;
+          }
+  in
+  {
+    g_lanes = lanes;
+    g_op = op;
+    g_counts = counts;
+    g_regs = regs;
+    g_vregs =
+      Array.init Vreg.count (fun _ ->
+          Array.init (Width.lanes Width.max) (fun _ -> int_range (-100000) 100000 st));
+    g_mem_seed = int st;
+  }
+
+let governed_case_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Format.asprintf "lanes=%d counts=[%d;%d] %a" c.g_lanes c.g_counts.(0)
+        c.g_counts.(1) Governed.pp c.g_op)
+    gen_governed_case
+
+let governed_ctx c =
+  let mem = Memory.create () in
+  let rng = Random.State.make [| c.g_mem_seed |] in
+  Memory.blit_bytes mem ~addr:data_window
+    (Bytes.init data_window_bytes (fun _ -> Char.chr (Random.State.int rng 256)));
+  let ctx = Sem.create_ctx mem in
+  ctx.Sem.lanes <- c.g_lanes;
+  Array.blit c.g_regs 0 ctx.Sem.regs 0 Reg.count;
+  Array.iteri (fun i v -> Array.blit v 0 ctx.Sem.vregs.(i) 0 (Array.length v)) c.g_vregs;
+  Array.blit c.g_counts 0 ctx.Sem.counts 0 2;
+  (* a stale access prefix: every path must reset it *)
+  ctx.Sem.e_nacc <- 3;
+  ctx
+
+let same_machine (a : Sem.ctx) (b : Sem.ctx) =
+  let accesses_equal =
+    a.Sem.e_nacc = b.Sem.e_nacc
+    && List.for_all
+         (fun i ->
+           a.Sem.acc_addr.(i) = b.Sem.acc_addr.(i)
+           && a.Sem.acc_bytes.(i) = b.Sem.acc_bytes.(i)
+           && a.Sem.acc_write.(i) = b.Sem.acc_write.(i))
+         (List.init a.Sem.e_nacc Fun.id)
+  in
+  a.Sem.regs = b.Sem.regs
+  && a.Sem.vregs = b.Sem.vregs
+  && a.Sem.counts = b.Sem.counts
+  && Flags.equal a.Sem.flags b.Sem.flags
+  && Memory.equal a.Sem.mem b.Sem.mem
+  && accesses_equal
+  && a.Sem.n_pred_fast = b.Sem.n_pred_fast
+  && a.Sem.n_pred_masked = b.Sem.n_pred_masked
+  && a.Sem.n_tbl_builds = b.Sem.n_tbl_builds
+
+let governed_props =
+  [
+    qtest ~count:1000 "compiled governed op matches the interpretive one"
+      governed_case_arb (fun c ->
+        let outcome f = match f () with () -> None | exception Sem.Sigill m -> Some m in
+        let interp = governed_ctx c and compiled = governed_ctx c in
+        let o1 = outcome (fun () -> Sem.exec_governed interp c.g_op) in
+        let f = Sem.compile_governed compiled ~lanes:c.g_lanes c.g_op in
+        let o2 = outcome f in
+        o1 = o2 && same_machine interp compiled);
+  ]
+
+let tests = tests @ governed_props
