@@ -639,27 +639,24 @@ let compile_thunk eng ~lanes u =
         f ();
         charge_scratch eng
       else f
-  | Sgov g ->
+  | Sgov g -> (
       let f = Sem.compile_governed ctx ~lanes g in
       (* count governed executions at the dispatch layer, so the obs
          conservation invariant (fast + masked = dispatched) has an
          independent left- and right-hand side. The masked path of an
          access op records accesses too, so the scratch charge follows
          the op shape, not the count. *)
-      let accesses =
-        match g with
-        | Governed.Op { v; _ } -> vinsn_accesses v
-        | Governed.Tbl _ | Governed.Tblst _ -> true
-        | Governed.Tblidx _ | Governed.Set _ | Governed.Step _ -> false
-      in
-      if not (Governed.reads_count g) then f
-      else if accesses then fun () ->
-        eng.governed_execs <- eng.governed_execs + 1;
-        f ();
-        charge_scratch eng
-      else fun () ->
-        eng.governed_execs <- eng.governed_execs + 1;
-        f ()
+      match g with
+      | Governed.Set _ | Governed.Step _ | Governed.Tblidx _ -> f
+      | Governed.Op { v; _ } when not (vinsn_accesses v) ->
+          fun () ->
+            eng.governed_execs <- eng.governed_execs + 1;
+            f ()
+      | Governed.Op _ | Governed.Tbl _ | Governed.Tblst _ ->
+          fun () ->
+            eng.governed_execs <- eng.governed_execs + 1;
+            f ();
+            charge_scratch eng)
 
 (* Bake the slot's icache line probe in front of its thunk, so the
    replay loop is a bare closure call per micro-op. *)

@@ -294,7 +294,7 @@ let test_zero_scalar_epilogue () =
   check_arrays "rvv result" fir15_expected (read_array run liquid "c");
   (* Memory bit-identical to the same binary stepped in pure scalar
      form. (Unlike VLA's next-multiple-of-VL overshoot, the RVV counter
-     lands exactly on the bound — [Addvl] advances by the shortened
+     lands exactly on the bound — [Step] advances by the shortened
      grant.) *)
   let scalar = run_image liquid in
   check_memory_equal "rvv vs scalar" run scalar;
