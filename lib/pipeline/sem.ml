@@ -168,10 +168,9 @@ let step_scalar ctx ~pc insn =
    ({!Liquid_pipeline.Blocks}): the block compiler resolves register
    names to indices and folds the address computation once. Each kernel
    is the corresponding [exec_scalar] arm minus decode and
-   scratch-effect recording. The
-   scratch value is only ever consumed by a live translator session;
-   when the engine runs under one it reads the destination register
-   back instead. *)
+   scratch-effect recording. The scratch value is only ever consumed by
+   a live translator session; when the engine runs under one it reads
+   the destination register back instead. *)
 
 let[@inline] kernel_ld ctx ~addr ~bytes ~signed ~dst =
   ctx.regs.(dst) <- Memory.read ctx.mem ~addr ~bytes ~signed
