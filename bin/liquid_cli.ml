@@ -91,7 +91,8 @@ let disasm_cmd =
       value & flag
       & info [ "binary" ]
           ~doc:
-            "Encode to the 32-bit binary format and disassemble it back              (annotated with recovered labels and symbols).")
+            "Encode to the 32-bit binary format and disassemble it back \
+             (annotated with recovered labels and symbols).")
   in
   let run w variant binary =
     match Runner.program_of w variant with
@@ -354,6 +355,36 @@ let report_snapshot (w : Workload.t) variant jsonl_path csv_dir =
           List.iter (Format.eprintf "invariant violated: %s@.") viols;
           exit 1)
 
+(* The report's sections in print order: [report WHICH] names one of
+   them or a workload, and anything else is rejected at parse time. *)
+let report_sections =
+  [
+    "table2"; "table5"; "table6"; "figure6"; "codesize"; "ucode"; "latency";
+    "overhead"; "translator"; "ablations";
+  ]
+
+type report_target = Section of string | Snapshot of Workload.t
+
+let report_target_conv =
+  let parse s =
+    if List.mem s report_sections then Ok (Section s)
+    else
+      match Workload.find s with
+      | Some w -> Ok (Snapshot w)
+      | None ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "unknown report %S; expected one of %s, or a workload: %s" s
+                  (String.concat ", " report_sections)
+                  (String.concat ", " (Workload.names ()))))
+  in
+  Arg.conv
+    ( parse,
+      fun ppf -> function
+        | Section s -> Format.pp_print_string ppf s
+        | Snapshot (w : Workload.t) -> Format.pp_print_string ppf w.name )
+
 let report_cmd =
   let doc =
     "Regenerate the paper's tables and figures, or emit one workload's \
@@ -362,13 +393,12 @@ let report_cmd =
   let which_arg =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some report_target_conv) None
       & info [] ~docv:"WHICH"
           ~doc:
-            "One of table2, table5, table6, figure6, codesize, ucode, \
-             latency, overhead, translator, ablations (omit for all) — or a \
-             workload name (see $(b,list)) to emit that run's observability \
-             snapshot as JSON.")
+            ("One of " ^ String.concat ", " report_sections
+           ^ " (omit for all) — or a workload name (see $(b,list)) to emit \
+              that run's observability snapshot as JSON."))
   in
   let csv_arg =
     Arg.(
@@ -376,7 +406,8 @@ let report_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR"
           ~doc:
-            "Also write machine-readable CSVs (table5/table6/figure6, or the              workload snapshot) into $(docv).")
+            "Also write machine-readable CSVs (table5/table6/figure6, or the \
+             workload snapshot) into $(docv).")
   in
   let jsonl_arg =
     Arg.(
@@ -389,8 +420,12 @@ let report_cmd =
              line.")
   in
   let run which csv_dir variant jsonl_path =
-    let all = which = None in
-    let want w = all || which = Some w in
+    let want section =
+      match which with
+      | None -> true
+      | Some (Section s) -> s = section
+      | Some (Snapshot _) -> false
+    in
     let write_csv name contents =
       match csv_dir with
       | None -> ()
@@ -400,9 +435,9 @@ let report_cmd =
               Out_channel.output_string oc contents);
           Format.printf "wrote %s@." path
     in
-    match Option.bind which Workload.find with
-    | Some w -> report_snapshot w variant jsonl_path csv_dir
-    | None ->
+    match which with
+    | Some (Snapshot w) -> report_snapshot w variant jsonl_path csv_dir
+    | None | Some (Section _) ->
     if want "table2" then
       Format.printf "%a@.@." Experiments.pp_table2 (Experiments.table2 ());
     if want "table5" then begin

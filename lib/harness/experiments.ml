@@ -140,6 +140,24 @@ let pp_table6 ppf rows =
     rows;
   Format.fprintf ppf "@]"
 
+(* --- simulation fan-out --- *)
+
+(* Run every [(workload, variant, translation_cpi)] simulation as its own
+   pool item into the {!Runner.run_cached} memo; experiments then build
+   their rows from memo lookups. One item per simulation rather than per
+   workload lets the domains balance single runs instead of whole
+   workloads (179.art's 17 Figure 6 runs alone take about 0.4 s). *)
+let simulate runs =
+  ignore
+    (Runner.run_many
+       (fun (w, v, translation_cpi) ->
+         ignore (Runner.run_cached ~translation_cpi w v : Runner.result))
+       runs
+      : unit list)
+
+let cached ?translation_cpi w v =
+  (Runner.run_cached ?translation_cpi w v).Runner.run
+
 (* --- Figure 6 --- *)
 
 type fig6_row = {
@@ -151,62 +169,50 @@ type fig6_row = {
 }
 
 let figure6 ?(widths = [ 2; 4; 8; 16 ]) () =
-  Runner.run_many
+  let ws = Workload.all () in
+  let liquid l = Runner.Liquid l
+  (* Same binary, translator targeting the length-agnostic predicated
+     backend: no width/trip-count divisibility aborts, partial final
+     iterations instead of scalar epilogues. *)
+  and vla l = Runner.Liquid_vla l
+  (* Same binary again, translator targeting the RVV-style stripmining
+     backend: the vsetvl grant absorbs the remainder like VLA
+     predication does, and LMUL register grouping may multiply the
+     effective width on low-pressure regions. *)
+  and rvv l = Runner.Liquid_rvv l
+  (* The callout of Figure 6: translation removed from the picture
+     (microcode present from the first call), i.e. a processor with
+     built-in ISA support for the SIMD code. *)
+  and oracle l = Runner.Liquid_oracle l in
+  simulate
+    (List.concat_map
+       (fun w ->
+         (w, Runner.Baseline, 1)
+         :: List.concat_map
+              (fun l ->
+                List.map (fun v -> (w, v l, 1)) [ liquid; vla; rvv; oracle ])
+              widths)
+       ws);
+  List.map
     (fun (w : Workload.t) ->
-      let base = (Runner.run_cached w Runner.Baseline).run in
-      let speedups =
+      let base = cached w Runner.Baseline in
+      let speedups v =
         List.map
-          (fun lanes ->
-            let { Runner.run; _ } = Runner.run_cached w (Runner.Liquid lanes) in
-            (lanes, Runner.speedup ~baseline:base run))
+          (fun l -> (l, Runner.speedup ~baseline:base (cached w (v l))))
           widths
       in
-      let vla_speedups =
-        (* Same binary, translator targeting the length-agnostic
-           predicated backend: no width/trip-count divisibility aborts,
-           partial final iterations instead of scalar epilogues. *)
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_vla lanes)
-            in
-            (lanes, Runner.speedup ~baseline:base run))
-          widths
-      in
-      let rvv_speedups =
-        (* Same binary again, translator targeting the RVV-style
-           stripmining backend: the vsetvl grant absorbs the remainder
-           like VLA predication does, and LMUL register grouping may
-           multiply the effective width on low-pressure regions. *)
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_rvv lanes)
-            in
-            (lanes, Runner.speedup ~baseline:base run))
-          widths
-      in
-      let native_delta =
-        (* The callout of Figure 6: re-run with translation removed from
-           the picture (microcode present from the first call), i.e. a
-           processor with built-in ISA support for the SIMD code. *)
-        List.map
-          (fun lanes ->
-            let { Runner.run; _ } =
-              Runner.run_cached w (Runner.Liquid_oracle lanes)
-            in
-            let native = Runner.speedup ~baseline:base run in
-            (lanes, native -. List.assoc lanes speedups))
-          widths
-      in
+      let liquid_speedups = speedups liquid in
       {
         f6_name = w.name;
-        f6_speedups = speedups;
-        f6_vla_speedups = vla_speedups;
-        f6_rvv_speedups = rvv_speedups;
-        f6_native_delta = native_delta;
+        f6_speedups = liquid_speedups;
+        f6_vla_speedups = speedups vla;
+        f6_rvv_speedups = speedups rvv;
+        f6_native_delta =
+          List.map
+            (fun (l, native) -> (l, native -. List.assoc l liquid_speedups))
+            (speedups oracle);
       })
-    (Workload.all ())
+    ws
 
 let pp_figure6 ppf rows =
   Format.fprintf ppf
@@ -314,20 +320,27 @@ let pp_ucode_cache ppf rows =
 type latency_row = { lat_name : string; lat_speedups : (int * float) list }
 
 let latency_ablation ?(costs = [ 1; 10; 30; 100 ]) () =
-  Runner.run_many
+  let ws = Workload.all () in
+  simulate
+    (List.concat_map
+       (fun w ->
+         (w, Runner.Baseline, 1)
+         :: List.map (fun c -> (w, Runner.Liquid 8, c)) costs)
+       ws);
+  List.map
     (fun (w : Workload.t) ->
-      let base = (Runner.run_cached w Runner.Baseline).run in
-      let speedups =
-        List.map
-          (fun c ->
-            let { Runner.run; _ } =
-              Runner.run_cached ~translation_cpi:c w (Runner.Liquid 8)
-            in
-            (c, Runner.speedup ~baseline:base run))
-          costs
-      in
-      { lat_name = w.name; lat_speedups = speedups })
-    (Workload.all ())
+      let base = cached w Runner.Baseline in
+      {
+        lat_name = w.name;
+        lat_speedups =
+          List.map
+            (fun c ->
+              ( c,
+                Runner.speedup ~baseline:base
+                  (cached ~translation_cpi:c w (Runner.Liquid 8)) ))
+            costs;
+      })
+    ws
 
 let pp_latency ppf rows =
   Format.fprintf ppf
@@ -379,29 +392,35 @@ let overhead_convergence ?(frames_list = [ 2; 5; 20; 80; 320 ]) () =
         ];
     }
   in
-  Runner.run_many
-    (fun frames ->
-      let p = program frames in
-      let base =
-        Cpu.run ~config:Cpu.scalar_config
-          (Image.of_program (Codegen.baseline p))
-      in
-      let image = Image.of_program (Codegen.liquid p) in
-      let liquid = Cpu.run ~config:(Cpu.liquid_config ~lanes:8) image in
-      let oracle =
-        Cpu.run
-          ~config:{ (Cpu.liquid_config ~lanes:8) with Cpu.oracle_translation = true }
-          image
-      in
-      let speedup (r : Cpu.run) =
-        float_of_int base.Cpu.stats.Stats.cycles
-        /. float_of_int r.Cpu.stats.Stats.cycles
+  (* Three runs per frame count, in this order: baseline, liquid, oracle. *)
+  let machines =
+    [
+      (Cpu.scalar_config, Codegen.baseline);
+      (Cpu.liquid_config ~lanes:8, Codegen.liquid);
+      ( { (Cpu.liquid_config ~lanes:8) with Cpu.oracle_translation = true },
+        Codegen.liquid );
+    ]
+  in
+  let cycles =
+    Array.of_list
+      (Runner.run_many
+         (fun (frames, (config, codegen)) ->
+           (Cpu.run ~config (Image.of_program (codegen (program frames))))
+             .Cpu.stats.Stats.cycles)
+         (List.concat_map
+            (fun frames -> List.map (fun m -> (frames, m)) machines)
+            frames_list))
+  in
+  List.mapi
+    (fun i frames ->
+      let speedup k =
+        float_of_int cycles.(3 * i) /. float_of_int cycles.((3 * i) + k)
       in
       {
         ov_frames = frames;
-        ov_liquid = speedup liquid;
-        ov_oracle = speedup oracle;
-        ov_delta = speedup oracle -. speedup liquid;
+        ov_liquid = speedup 1;
+        ov_oracle = speedup 2;
+        ov_delta = speedup 2 -. speedup 1;
       })
     frames_list
 
@@ -514,28 +533,33 @@ let pp_sweep ~title ~value_label ppf rows =
 type kind_row = { kr_name : string; kr_hw : float; kr_sw : float }
 
 let translator_kind_ablation ?(cost = 100) () =
+  (* The hardware column is the Liquid 8 run the other experiments
+     share: [Runner.config_of (Liquid 8)] is exactly
+     [Cpu.liquid_config ~lanes:8], a one-cycle hardware translator. *)
+  let ws = Workload.all () in
+  simulate
+    (List.concat_map
+       (fun w -> [ (w, Runner.Baseline, 1); (w, Runner.Liquid 8, 1) ])
+       ws);
   Runner.run_many
     (fun (w : Workload.t) ->
-      let base = (Runner.run_cached w Runner.Baseline).Runner.run in
-      let image = Image.of_program (Codegen.liquid w.Workload.program) in
-      let speedup kind cycles_per_insn =
-        let run =
-          Cpu.run
-            ~config:
-              {
-                (Cpu.liquid_config ~lanes:8) with
-                Cpu.translator = Some { Cpu.cycles_per_insn; Cpu.kind };
-              }
-            image
-        in
-        Runner.speedup ~baseline:base run
+      let base = cached w Runner.Baseline in
+      let software =
+        Cpu.run
+          ~config:
+            {
+              (Cpu.liquid_config ~lanes:8) with
+              Cpu.translator =
+                Some { Cpu.cycles_per_insn = cost; Cpu.kind = Cpu.Software };
+            }
+          (Image.of_program (Codegen.liquid w.Workload.program))
       in
       {
         kr_name = w.name;
-        kr_hw = speedup Cpu.Hardware 1;
-        kr_sw = speedup Cpu.Software cost;
+        kr_hw = Runner.speedup ~baseline:base (cached w (Runner.Liquid 8));
+        kr_sw = Runner.speedup ~baseline:base software;
       })
-    (Workload.all ())
+    ws
 
 let pp_kind ppf rows =
   Format.fprintf ppf

@@ -11,7 +11,10 @@ let well_formed t =
 
 let src_index t i =
   let b = period t in
-  let blk = i / b * b and pos = i mod b in
+  (* [b] is a power of two: floor the block, so negative [i] lands in
+     the block below exactly as the compiled lookups' [land] mask does. *)
+  let pos = i land (b - 1) in
+  let blk = i - pos in
   blk
   +
   match t with

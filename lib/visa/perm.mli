@@ -34,9 +34,11 @@ val well_formed : t -> bool
 val src_index : t -> int -> int
 (** [src_index t i] is the element the pattern reads to produce element
     [i]: the permutation acts blockwise, so
-    [src_index t i = (i / b * b) + perm (i mod b)] for period [b]. Total
-    over all [i >= 0] — this is what the VLA table-lookup ops evaluate
-    per active lane to reproduce the scalar access stream. *)
+    [src_index t i = blk + perm pos] for period [b], with
+    [pos = i land (b - 1)] and [blk = i - pos] (floor division, so a
+    negative [i] falls in the block below zero). Total over all [i] —
+    this is what the governed table-lookup ops evaluate per active lane
+    to reproduce the scalar access stream. *)
 
 val offsets : t -> int array
 (** Length {!period}; entry [i] is [src_index(i) - i]. *)

@@ -326,10 +326,74 @@ let test_run_many_simulations_agree () =
   let par = Runner.run_many ~domains:4 cycles ws in
   check_bool "parallel simulation equals sequential" true (par = seq)
 
+(* --- experiments: one pool item per simulation, rows from the memo --- *)
+
+(* The hardware column of the translator ablation is read from the
+   memoized [Liquid 8] run, which is only right while
+   [Runner.config_of (Liquid 8)] is exactly [Cpu.liquid_config ~lanes:8]:
+   compare it against a direct run on that config. *)
+let test_translator_hw_column_is_liquid8 () =
+  let rows = Experiments.translator_kind_ablation () in
+  List.iter
+    (fun name ->
+      let w = match Workload.find name with Some w -> w | None -> assert false in
+      let run config codegen =
+        Liquid_pipeline.Cpu.run ~config
+          (Liquid_prog.Image.of_program (codegen w.Workload.program))
+      in
+      let direct =
+        Runner.speedup
+          ~baseline:
+            (run Liquid_pipeline.Cpu.scalar_config
+               Liquid_scalarize.Codegen.baseline)
+          (run
+             (Liquid_pipeline.Cpu.liquid_config ~lanes:8)
+             Liquid_scalarize.Codegen.liquid)
+      in
+      match
+        List.find_opt (fun r -> r.Experiments.kr_name = name) rows
+      with
+      | Some r ->
+          check_bool (name ^ " hardware column is the direct speedup") true
+            (r.Experiments.kr_hw = direct)
+      | None -> Alcotest.failf "no %s row" name)
+    [ "FIR"; "GSM Dec."; "LU" ]
+
+(* Rows come back in input order whatever order the pool finished the
+   simulations in; the parameter lists are deliberately unsorted. One
+   Figure 6 width keeps the test cheap. *)
+let test_experiment_rows_in_input_order () =
+  let names = Workload.names () in
+  let fig6 = Experiments.figure6 ~widths:[ 2 ] () in
+  check_bool "figure6 rows in workload order" true
+    (List.map (fun r -> r.Experiments.f6_name) fig6 = names);
+  let lat = Experiments.latency_ablation ~costs:[ 30; 1 ] () in
+  check_bool "latency rows in workload order" true
+    (List.map (fun r -> r.Experiments.lat_name) lat = names);
+  check_bool "latency costs in order" true
+    (List.for_all
+       (fun r -> List.map fst r.Experiments.lat_speedups = [ 30; 1 ])
+       lat);
+  let frames_list = [ 5; 2; 20 ] in
+  let ov = Experiments.overhead_convergence ~frames_list () in
+  check_bool "overhead rows in frames order" true
+    (List.map (fun r -> r.Experiments.ov_frames) ov = frames_list);
+  List.iter
+    (fun r ->
+      check_bool
+        (Printf.sprintf "%d frames: delta = oracle - liquid" r.Experiments.ov_frames)
+        true
+        (r.Experiments.ov_delta = r.Experiments.ov_oracle -. r.Experiments.ov_liquid))
+    ov
+
 let tests =
   tests
   @ [
       Alcotest.test_case "csv export" `Quick test_csv_export;
+      Alcotest.test_case "translator hardware column is Liquid 8" `Slow
+        test_translator_hw_column_is_liquid8;
+      Alcotest.test_case "experiment rows in input order" `Slow
+        test_experiment_rows_in_input_order;
       Alcotest.test_case "run_cached matches run" `Slow test_run_cached_matches_run;
       Alcotest.test_case "run_many deterministic" `Quick test_run_many_deterministic;
       Alcotest.test_case "run_many_result isolates failures" `Quick

@@ -742,9 +742,10 @@ let tests = tests @ machine_robustness_props
 (* One governed op on a random machine: the lane count, both governor
    counts (the op's own one full or partial, the other arbitrary, so
    reading the wrong slot shows), registers, vector registers and
-   memory. Register values are non-negative (table lookups index the
-   element stream from a counter, which [Perm.src_index] defines for
-   [i >= 0]) and half of them point into the filled data window. *)
+   memory. Half the registers hold small values of either sign (a
+   negative table-lookup counter indexes below element zero, where
+   [Perm.src_index] must floor like the compiled lookups' mask) and half
+   point into the filled data window. *)
 type governed_case = {
   g_lanes : int;
   g_op : Governed.t;
@@ -766,7 +767,7 @@ let gen_governed_case : governed_case QCheck.Gen.t =
   counts.(Governed.index gov) <- (if bool st then lanes else int_range 0 lanes st);
   let regs =
     Array.init Reg.count (fun _ ->
-        if bool st then int_range 0 255 st
+        if bool st then int_range (-255) 255 st
         else data_window + int_range 0 (data_window_bytes / 2) st)
   in
   let table_base st =
